@@ -1,7 +1,9 @@
 """Command-line front end: verification drivers with JSON and text output.
 
 Exit codes: 0 on success, 1 on a mathematical verification failure (the
-emitted document carries the evidence), 2 on usage errors.
+emitted document carries the evidence), 2 on usage errors, which include bad
+family parameters, malformed integer lists or kappa values and contents of no
+tableau; these print one line on standard error.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import sys
 from fractions import Fraction
 
 from .combinatorics import (
+    BadShapeParams,
     ColumnStrictTableau,
+    NoSuchTableau,
     Rsyt,
     brick_stack_target,
     layer_composition,
@@ -51,8 +55,22 @@ def _load_tableau(path):
         return ColumnStrictTableau(rows)
 
 
+class UsageError(ValueError):
+    """Malformed command-line input (exit code 2)."""
+
+
 def _parse_ints(text) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_kappa(text) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad kappa {text!r}: {exc}") from None
 
 
 # -- subcommand handlers: return (exit_code, document, text) --------------------
@@ -185,6 +203,7 @@ def _cmd_closure(args):
 def _cmd_jack_construct(args):
     alpha = _parse_ints(args.alpha)
     tableau = rsyt_from_contents(_parse_ints(args.tableau_contents))
+    kappa0 = None if args.kappa is None else _parse_kappa(args.kappa)
     jack = construct_jack(alpha, tableau)
     doc = {
         "alpha": list(alpha),
@@ -198,8 +217,7 @@ def _cmd_jack_construct(args):
         _tableau_text(doc["tableau"]),
         f"{len(jack.poly.terms)} terms over {jack.monomial_count()} monomials",
     ]
-    if args.kappa is not None:
-        kappa0 = parse_rational(args.kappa)
+    if kappa0 is not None:
         doc["kappa"] = format_rational(kappa0)
         try:
             spec = specialize(jack, kappa0)
@@ -228,7 +246,7 @@ def _cmd_apply_operator(args):
         doc_in = json.load(fh)
     shape = tuple(doc_in["shape"]) if "shape" in doc_in else None
     poly = VectorPoly.from_json(doc_in["poly"], shape=shape)
-    kappa = parse_rational(args.kappa) if args.kappa is not None else None
+    kappa = _parse_kappa(args.kappa) if args.kappa is not None else None
     if kappa is not None:
         poly = poly.map_coefficients(
             lambda c: c.evaluate(kappa) if isinstance(c, RatFunc) else c
@@ -328,7 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    code, doc, text = args.handler(args)
+    try:
+        code, doc, text = args.handler(args)
+    except (UsageError, BadShapeParams, NoSuchTableau) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     rendered = json.dumps(doc, indent=2) if args.format == "json" else text
     if args.output:
         with open(args.output, "w") as fh:

@@ -45,13 +45,6 @@ def normalize_partition(parts) -> tuple[int, ...]:
     return parts[:n]
 
 
-def conjugate_partition(parts) -> tuple[int, ...]:
-    parts = normalize_partition(parts)
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
-
-
 def rank_permutation(alpha) -> tuple[int, ...]:
     """One-line permutation r with r(i) = #{j: a_j > a_i} + #{j <= i: a_j = a_i}.
 
@@ -75,11 +68,6 @@ def perm_inverse(w) -> tuple[int, ...]:
     for i, v in enumerate(w):
         inv[v - 1] = i + 1
     return tuple(inv)
-
-
-def perm_compose(w1, w2) -> tuple[int, ...]:
-    """(w1 w2)(i) = w1(w2(i))."""
-    return tuple(w1[w2[i] - 1] for i in range(len(w2)))
 
 
 def perm_apply_to_composition(w, alpha) -> tuple[int, ...]:

@@ -13,8 +13,13 @@ The hot loop works on an invariant basis (the order ideal of the leading
 exponent tensored with all tableaux) with coefficients written as integer
 polynomials in 1/kappa packed into single big integers (fixed-width signed
 digits), so a projection step is a handful of big-integer multiply-adds per
-matrix entry.  A running digit-width bound computed from the matrices makes
-the packing provably overflow-free.
+matrix entry; a digit-width bound computed from the matrices makes the
+packing provably overflow-free.  The U'_i columns are integers over the
+shape's transposition denominator D (1296 for (2,2,2,2)), each built once
+into a ``ColumnTable`` that the product reads through the label's exponent
+offsets.  A family's labels permute one partition and share their lower
+exponents, so ``family_context`` passes one table to all its constructions
+and drops it on return; a lone ``construct_jack`` builds its own.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .combinatorics import (
     Rsyt,
@@ -157,11 +162,13 @@ def _nu_fraction_to_ratfunc(num: list[int], den: list[int]) -> RatFunc:
 
 
 def _jack_basis(alpha, dim: int):
+    """Lower exponents, the basis [(exp, tableau)] and each exponent's
+    offset: (exp, t) sits at position offsets[exp] + t."""
     lower = compositions_strictly_below(alpha)
     exps = sorted(lower) + [tuple(alpha)]
     basis = [(exp, t) for exp in exps for t in range(dim)]
-    index = {key: pos for pos, key in enumerate(basis)}
-    return lower, basis, index
+    offsets = {exp: pos * dim for pos, exp in enumerate(exps)}
+    return lower, basis, offsets
 
 
 def _projection_factors(alpha, tableau, lower, ctx):
@@ -186,98 +193,115 @@ def _projection_factors(alpha, tableau, lower, ctx):
     return sorted(factors)
 
 
-def _scaled_matrix(i, basis, index, ctx):
-    """Integer-scaled sparse columns of U'_i on the basis: entries
-    (row, a, b) meaning (a/denominator) * (1/kappa) + b/denominator."""
-    raw_cols = []
-    denom = 1
-    for exp, tab in basis:
-        col = uprime_column(i, exp, tab, ctx)
-        entries = []
-        for key, (nu, const) in col.items():
-            row = index.get(key)
-            assert row is not None, "projection basis is not invariant"
-            entries.append((row, nu, const))
-            denom = lcm(denom, nu.denominator, const.denominator)
-        raw_cols.append(entries)
-    cols = [
-        [(row, int(nu * denom), int(const * denom)) for row, nu, const in entries]
-        for entries in raw_cols
-    ]
-    return cols, denom
+class ColumnTable:
+    """U'_i columns of one shape, each built by ``uprime_column`` on first
+    use and shared by every construction given the table.
+
+    A column is a flat tuple (exp, row, a, b, exp, row, a, b, ...) of
+    entries (a / kappa + b) / D at (exp, row), with exponents interned so
+    that the columns of many labels hold one copy of each.
+    """
+
+    def __init__(self, shape):
+        self.ctx = tau_context(tuple(shape))
+        self._columns: dict[tuple, tuple] = {}
+        self._exps: dict[tuple, tuple] = {}
+
+    def column(self, i: int, exp, tab: int) -> tuple:
+        key = (i, exp, tab)
+        col = self._columns.get(key)
+        if col is None:
+            intern = self._exps.setdefault
+            flat = []
+            for (e, row), (a, b) in uprime_column(i, exp, tab, self.ctx).items():
+                flat += (intern(e, e), row, a, b)
+            col = self._columns[key] = tuple(flat)
+        return col
 
 
 @lru_cache(maxsize=512)
 def _construct_cached(alpha: tuple[int, ...], contents: tuple[int, ...]):
     from .combinatorics import rsyt_from_contents
 
-    return _construct(alpha, rsyt_from_contents(contents))
+    tableau = rsyt_from_contents(contents)
+    return _construct(alpha, tableau, ColumnTable(tableau.shape))
 
 
-def construct_jack(alpha, tableau: Rsyt) -> JackPolynomial:
+def construct_jack(
+    alpha, tableau: Rsyt, columns: ColumnTable | None = None
+) -> JackPolynomial:
     """The Jack polynomial with the given label, exactly over Q(kappa).
 
     Leading coefficient is 1, every other exponent is strictly below the
     label in the composition order, and U'_i acts by the spectral value for
     every i (asserted by the test suite against independent solves).
+
+    ``columns`` shares U'_i columns with other constructions of the same
+    shape; without it the result is cached per label.
     """
     alpha = tuple(alpha)
     if len(alpha) != tableau.n:
         raise ValueError(f"label length {len(alpha)} != {tableau.n} variables")
     if any(a < 0 for a in alpha):
         raise ValueError("exponents must be nonnegative")
-    return _construct_cached(alpha, tableau.content_vector())
+    if columns is None:
+        return _construct_cached(alpha, tableau.content_vector())
+    if columns.ctx.shape != tableau.shape:
+        raise ValueError(f"column table for shape {columns.ctx.shape}")
+    return _construct(alpha, tableau, columns)
 
 
-def _construct(alpha, tableau: Rsyt) -> JackPolynomial:
-    ctx = tau_context(tableau.shape)
+def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
+    ctx = columns.ctx
     start = leading_vector(alpha, tableau)
     spectral = spectral_vector(alpha, tableau)
-    lower, basis, index = _jack_basis(alpha, ctx.dim)
+    lower, basis, offsets = _jack_basis(alpha, ctx.dim)
     if not lower:
         return JackPolynomial(alpha, tableau, start, spectral)
     factors = _projection_factors(alpha, tableau, lower, ctx)
     target = spectral_pairs(alpha, tableau)
+    big_d = ctx.denominator
+    dim = len(basis)
 
+    # per index: the shared columns in basis order, and the largest row sum
+    # of |a| + |b| (the invariance of the basis is checked on the way)
     matrices = {}
     for i in sorted({i for i, _ in factors}):
-        matrices[i] = _scaled_matrix(i, basis, index, ctx)
+        cols = [columns.column(i, exp, tab) for exp, tab in basis]
+        row_amp = [0] * dim
+        for col in cols:
+            it = iter(col)
+            for e, row, a, b in zip(it, it, it, it):
+                offset = offsets.get(e)
+                if offset is None:
+                    raise AssertionError("projection basis is not invariant")
+                row_amp[offset + row] += abs(a) + abs(b)
+        matrices[i] = (cols, max(row_amp))
 
     # integer starting vector (constant digits)
-    start_coeffs = {}
-    d0 = 1
-    for (exp, tab), coeff in start.terms.items():
-        q = coeff.as_fraction()
-        start_coeffs[index[(exp, tab)]] = q
-        d0 = lcm(d0, q.denominator)
-    dim = len(basis)
+    d0, start_ints = start.map_coefficients(RatFunc.as_fraction).cleared()
     vec = [0] * dim
-    start_max = 1
-    for pos, q in start_coeffs.items():
-        vec[pos] = int(q * d0)
-        start_max = max(start_max, abs(vec[pos]))
+    for (exp, tab), v in start_ints.items():
+        vec[offsets[exp] + tab] = v
+    start_max = max(map(abs, start_ints.values()))
 
     # provably sufficient digit width for the whole product
     bits = start_max.bit_length() + 16
     denom_int = d0
     scaled_factors = []
     for i, (va, vb) in factors:
-        cols, d_i = matrices[i]
         za, zc = target[i - 1]
         dz = (za - va, zc - vb)
-        assert dz != (0, 0)
-        dva, dvb = d_i * va, d_i * vb
-        row_amp = [abs(dva) + abs(dvb)] * dim
-        for entries in cols:
-            for row, a, b in entries:
-                row_amp[row] += abs(a) + abs(b)
-        bits += max(row_amp).bit_length() + 1
-        scaled_factors.append((i, dva, dvb, d_i, dz))
-        denom_int *= d_i
+        if dz == (0, 0):
+            raise ZeroDenominator(f"factor {(i, (va, vb))} annihilates the label")
+        dva, dvb = big_d * va, big_d * vb
+        bits += (abs(dva) + abs(dvb) + matrices[i][1]).bit_length() + 1
+        scaled_factors.append((i, dva, dvb, dz))
+        denom_int *= big_d
     width = max(64, bits)
 
     denom_linears = []
-    for _, _, _, _, (dza, dzc) in scaled_factors:
+    for _, _, _, (dza, dzc) in scaled_factors:
         if dza == 0:
             denom_int *= dzc
             continue
@@ -287,17 +311,18 @@ def _construct(alpha, tableau: Rsyt) -> JackPolynomial:
         denom_int *= g
         denom_linears.append((dza // g, dzc // g))
 
-    for i, dva, dvb, d_i, _ in scaled_factors:
-        cols, _ = matrices[i]
+    for i, dva, dvb, _ in scaled_factors:
+        cols = matrices[i][0]
         out = [0] * dim
-        for col in range(dim):
-            u = vec[col]
+        for pos in range(dim):
+            u = vec[pos]
             if not u:
                 continue
             shifted = u << width
-            for row, a, b in cols[col]:
-                out[row] += a * shifted + b * u
-            out[col] -= dva * shifted + dvb * u
+            it = iter(cols[pos])
+            for e, row, a, b in zip(it, it, it, it):
+                out[offsets[e] + row] += a * shifted + b * u
+            out[pos] -= dva * shifted + dvb * u
         vec = out
 
     terms = {}
@@ -324,9 +349,8 @@ def _construct(alpha, tableau: Rsyt) -> JackPolynomial:
             terms[basis[pos]] = coeff
 
     poly = VectorPoly(tableau.shape, terms)
-    assert poly.tableau_component(alpha) == start.tableau_component(alpha), (
-        "projection altered the leading term"
-    )
+    if poly.tableau_component(alpha) != start.tableau_component(alpha):
+        raise AssertionError("projection altered the leading term")
     return JackPolynomial(alpha, tableau, poly, spectral)
 
 
@@ -431,7 +455,11 @@ def apply_simple_reflection(
 def _labelled(alpha, tableau, poly, verify: bool) -> JackPolynomial:
     jack = JackPolynomial(tuple(alpha), tableau, poly, spectral_vector(alpha, tableau))
     lead = leading_vector(alpha, tableau)
-    assert poly.tableau_component(alpha) == lead.tableau_component(alpha)
+    if poly.tableau_component(alpha) != lead.tableau_component(alpha):
+        raise AssertionError(
+            f"leading term of label ({tuple(alpha)}, {tableau.rows}) is not the "
+            "triangular one"
+        )
     if verify:
         verify_eigen_equations(jack)
     return jack

@@ -5,6 +5,12 @@ All operators are exact and work either at generic parameter (RatFunc
 coefficients) or at a fixed rational value (Fraction coefficients); pass the
 matching ``kappa``.  Divided differences are evaluated by the closed telescoping
 formula for monomials, which is the exact quotient by ``x_i - x_j``.
+
+The seminormal matrices enter as integers over a common denominator, and at
+a rational kappa the Dunkl operator and the group action clear the input's
+denominators and run on integers, dividing once per term at the end; a zero
+image costs no fraction at all.  ``uprime_column`` builds U'_i columns on
+the same integer scale.
 """
 
 from __future__ import annotations
@@ -35,41 +41,49 @@ def _divided_difference_monomials(exp, i, j):
             yield tuple(base), -1
 
 
-def _accumulate(acc, key, value):
-    old = acc.get(key)
-    new = value if old is None else old + value
-    if new:
-        acc[key] = new
-    elif old is not None:
-        del acc[key]
-
-
 def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     """Dunkl operator: partial derivative plus kappa times the sum of divided
-    differences twisted by the transposition action."""
+    differences twisted by the transposition action.
+
+    The image is accumulated as mu * D * L times its value over the integer
+    transposition matrices (D = ``ctx.denominator``).  At a rational kappa =
+    lam / mu, rational coefficients are cleared to integers over L and the
+    whole sum is integer arithmetic; otherwise lam = kappa, mu = L = 1 and
+    the coefficients stay field elements.  One division per term ends it.
+    """
+    ctx = tau_context(p.shape)
     if kappa is None:
         kappa = KAPPA
-    ctx = tau_context(p.shape)
-    n = p.n
+    cleared = None if isinstance(kappa, RatFunc) else p.cleared()
+    if cleared is None:
+        den, coeffs, lam, mu = 1, p.terms, kappa, 1
+    else:
+        kappa = Fraction(kappa)
+        (den, coeffs), lam, mu = cleared, kappa.numerator, kappa.denominator
+    derivative = mu * ctx.denominator
+    tcols = {j: ctx.scaled_transposition(i, j) for j in range(1, p.n + 1) if j != i}
+    moves = {}  # exponent -> (transposition columns, monomial, sign) triples
     acc = {}
-    for (exp, tab), coeff in p.terms.items():
-        if exp[i - 1]:
-            d = list(exp)
-            d[i - 1] -= 1
-            _accumulate(acc, (tuple(d), tab), coeff * exp[i - 1])
-        for j in range(1, n + 1):
-            if j == i or exp[i - 1] == exp[j - 1]:
-                continue
-            col = ctx.transposition_matrix(i, j)[tab]
-            kc = kappa * coeff
+    for (exp, tab), c in coeffs.items():
+        e = exp[i - 1]
+        if e:
+            key = (exp[: i - 1] + (e - 1,) + exp[i:], tab)
+            acc[key] = acc.get(key, 0) + c * (e * derivative)
+        exp_moves = moves.get(exp)
+        if exp_moves is None:
             # x_i * divided difference carries one extra power of x_i; strip it
-            for new_exp, sign in _divided_difference_monomials(exp, i, j):
-                stripped = list(new_exp)
-                stripped[i - 1] -= 1
-                key_exp = tuple(stripped)
-                for row, c in col:
-                    _accumulate(acc, (key_exp, row), kc * (sign * c))
-    return VectorPoly(p.shape, acc)
+            exp_moves = moves[exp] = [
+                (cols, m[: i - 1] + (m[i - 1] - 1,) + m[i:], sign)
+                for j, cols in tcols.items()
+                for m, sign in _divided_difference_monomials(exp, i, j)
+            ]
+        if exp_moves:
+            lc = lam * c
+            for cols, key_exp, sign in exp_moves:
+                for row, t in cols[tab]:
+                    key = (key_exp, row)
+                    acc[key] = acc.get(key, 0) + lc * (sign * t)
+    return VectorPoly.from_cleared(p.shape, acc, den * derivative)
 
 
 def jucys_murphy(i: int, p: VectorPoly) -> VectorPoly:
@@ -131,40 +145,33 @@ def is_singular_at(p: VectorPoly, kappa0, indices=None) -> bool:
 
 
 def uprime_column(i: int, exp, tab: int, ctx) -> dict:
-    """Column of the modified Cherednik-Dunkl operator on one basis monomial.
+    """Column of the modified Cherednik-Dunkl operator on one basis monomial,
+    times the shape's transposition denominator D = ``ctx.denominator``.
 
-    Entries are pairs (nu, const) meaning nu * (1/kappa) + const with Fraction
-    parts; only the diagonal carries a 1/kappa part.  The departing monomial
-    of each telescoped difference cancels against the Jucys-Murphy term for
-    j > i, so all images stay within the order ideal of the leading exponent.
+    Entries are integer pairs (a, b) meaning (a * (1/kappa) + b) / D; only
+    the diagonal carries a 1/kappa part.  The departing monomial of each
+    telescoped difference cancels against the Jucys-Murphy term for j > i,
+    so all images stay within the order ideal of the leading exponent.
     """
-    n = len(exp)
-    col = {}
-
-    def add(key, nu, const):
-        old = col.get(key, (0, 0))
-        new = (old[0] + nu, old[1] + const)
-        if new == (0, 0):
-            col.pop(key, None)
-        else:
-            col[key] = new
-
-    if exp[i - 1]:
-        add((exp, tab), Fraction(exp[i - 1]), 0)
-    for j in range(1, n + 1):
+    consts = {}
+    e = exp[i - 1]
+    for j in range(1, len(exp) + 1):
         if j == i:
             continue
-        tcol = None
-        if exp[i - 1] != exp[j - 1]:
-            tcol = ctx.transposition_matrix(i, j)[tab]
+        tcol = ctx.scaled_transposition(i, j)[tab]
+        if exp[j - 1] != e:
             for new_exp, sign in _divided_difference_monomials(exp, i, j):
                 for row, c in tcol:
-                    add((new_exp, row), 0, sign * c)
+                    key = (new_exp, row)
+                    consts[key] = consts.get(key, 0) + sign * c
         if j > i:
             swapped = list(exp)
             swapped[i - 1], swapped[j - 1] = swapped[j - 1], swapped[i - 1]
-            if tcol is None:
-                tcol = ctx.transposition_matrix(i, j)[tab]
+            swapped = tuple(swapped)
             for row, c in tcol:
-                add((tuple(swapped), row), 0, c)
+                key = (swapped, row)
+                consts[key] = consts.get(key, 0) + c
+    col = {key: (0, b) for key, b in consts.items() if b}
+    if e:
+        col[(exp, tab)] = (e * ctx.denominator, consts.get((exp, tab), 0))
     return col

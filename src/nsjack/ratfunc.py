@@ -152,15 +152,6 @@ def _eval_poly(f, x: Fraction) -> Fraction:
     return out
 
 
-def poly_divides(f, g) -> bool:
-    """Whether primitive f divides g over Q."""
-    try:
-        _exact_div(_primitive(g)[1], _primitive(f)[1])
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
-
-
 # ---------------------------------------------------------------------------
 # the field
 # ---------------------------------------------------------------------------

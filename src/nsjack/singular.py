@@ -31,6 +31,7 @@ from .combinatorics import (
     transposition,
 )
 from .jack import (
+    ColumnTable,
     JackPolynomial,
     b_value,
     construct_jack,
@@ -114,7 +115,8 @@ def brick_map(source, m: int) -> BrickPair:
     beta = tuple(beta)
     r = rank_permutation(beta)
     for i in range(n):
-        assert (m + 2) * beta[i] + tableau.content(r[i]) == source.content(i + 1)
+        if (m + 2) * beta[i] + tableau.content(r[i]) != source.content(i + 1):
+            raise BadShapeParams(f"brick content identity fails at entry {i + 1}")
     return BrickPair(beta, tableau, source, m, k)
 
 
@@ -145,7 +147,8 @@ def gamma_factor(pair: BrickPair) -> Fraction:
         for j in range(i + 1, len(pair.beta)):
             if pair.beta[i] < pair.beta[j]:
                 d = cv[i] - cv[j]
-                assert abs(d) >= 2, "degenerate gamma factor"
+                if abs(d) < 2:
+                    raise BadParams(f"degenerate gamma factor at {i + 1}, {j + 1}")
                 out *= 1 - Fraction(1, d * d)
     return out
 
@@ -183,19 +186,26 @@ class FamilyContext:
         return (self.m,) * (2 * self.k)
 
 
-@lru_cache(maxsize=None)
 def family_context(m: int, k: int, n: int = 1) -> FamilyContext:
-    """Construct (without verifying) every family member at kappa = n/(m+2)."""
+    """Construct (without verifying) every family member at kappa = n/(m+2);
+    cached per (m, k, n), however the arguments are spelled."""
+    return _family_context(m, k, n)
+
+
+@lru_cache(maxsize=None)
+def _family_context(m: int, k: int, n: int) -> FamilyContext:
     if m < 1 or k < 2:
         raise BadShapeParams(f"need m >= 1, k >= 2, got ({m}, {k})")
     if n < 1 or gcd(n, m + 2) != 1:
         raise BadParams(f"need n >= 1 coprime to m+2, got n={n}")
     kappa0 = Fraction(n, m + 2)
+    # every label permutes one partition: the members share their U'_i columns
+    columns = ColumnTable((m,) * (2 * k))
     members = []
     for source in enumerate_rsyt((m * k, m * k)):
         pair = brick_map(source, m)
         label = tuple(n * b for b in pair.beta)
-        jack = construct_jack(label, pair.tableau)
+        jack = construct_jack(label, pair.tableau, columns)
         spec = specialize(jack, kappa0)
         members.append(
             FamilyMember(
@@ -253,7 +263,8 @@ def singular_family(m: int, k: int, n: int = 1) -> SingularCertificate:
                 f"isotype {isotype.rows} != source {member.source.rows}"
             )
         zeta = spectral_vector_at(member.label, member.pair.tableau, fam.kappa0)
-        assert zeta == tuple(map(Fraction, member.source.content_vector()))
+        if zeta != tuple(map(Fraction, member.source.content_vector())):
+            raise NotIsotypic(f"spectral vector of {member.label} != source contents")
         records.append(
             {
                 "source": [list(r) for r in member.source.rows],
@@ -279,17 +290,24 @@ def singular_family(m: int, k: int, n: int = 1) -> SingularCertificate:
 def isotype_of(p: VectorPoly) -> Rsyt:
     """The tableau whose content vector lists the Jucys-Murphy eigenvalues of
     p; its shape is the isotype.  Raises NotIsotypic when p is not a
-    simultaneous eigenfunction with integer eigenvalues."""
+    simultaneous eigenfunction with integer eigenvalues.
+
+    p is cleared of denominators and scaled by the shape's transposition
+    denominator, so that every Jucys-Murphy image is computed in integers."""
     if p.is_zero():
         raise NotIsotypic("zero polynomial has no isotype")
+    cleared = p.cleared()
+    if cleared is None:
+        raise NotIsotypic("only a polynomial with rational coefficients has an isotype")
+    scale = tau_context(p.shape).denominator
+    p = VectorPoly(p.shape, {key: c * scale for key, c in cleared[1].items()})
     key, base = next(iter(p.terms.items()))
     contents = []
     for i in range(1, p.n + 1):
         image = jucys_murphy(i, p)
-        scalar = image.terms.get(key, Fraction(0)) / base
-        if image != p.scale(scalar):
+        q = Fraction(image.terms.get(key, 0), base)
+        if image != p.scale(q):
             raise NotIsotypic(f"not an eigenfunction of the index-{i} element")
-        q = Fraction(scalar)
         if q.denominator != 1:
             raise NotIsotypic(f"non-integer eigenvalue {q} at index {i}")
         contents.append(q.numerator)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .combinatorics import (
     Rsyt,
@@ -43,7 +44,10 @@ class TauContext:
 
     Matrices are stored column-sparse; ``matrix(w)`` composes the cached
     simple-reflection matrices along a fixed word for ``w`` (any word yields
-    the same matrix since the generators satisfy the braid relations).
+    the same matrix since the generators satisfy the braid relations).  The
+    operator kernels use integer forms: ``scaled_matrix(w)`` over the lcm of
+    its denominators, and ``scaled_transposition(i, j)`` over ``denominator``,
+    the one D shared by all transpositions (1296 for (2,2,2,2)).
     """
 
     def __init__(self, shape):
@@ -54,6 +58,9 @@ class TauContext:
         self.dim = len(self.tableaux)
         self._simple: dict[int, Matrix] = {}
         self._words: dict[tuple, Matrix] = {}
+        self._scaled: dict[tuple, tuple[tuple, int]] = {}
+        self._scaled_transpositions: dict[tuple[int, int], tuple] = {}
+        self._denominator: int | None = None
 
     def index_of(self, tableau: Rsyt) -> int:
         return self.index[tableau.content_vector()]
@@ -92,10 +99,44 @@ class TauContext:
         self._words[w] = out
         return out
 
-    def transposition_matrix(self, i: int, j: int) -> Matrix:
+    def scaled_matrix(self, w) -> tuple[tuple, int]:
+        """(columns, d): d times the matrix of w, with integer entries, where
+        d is the least common denominator of its entries."""
+        w = tuple(w)
+        if w not in self._scaled:
+            mat = self.matrix(w)
+            d = lcm(*(c.denominator for col in mat.values() for _, c in col))
+            cols = tuple(
+                tuple((row, int(c * d)) for row, c in mat[t]) for t in range(self.dim)
+            )
+            self._scaled[w] = (cols, d)
+        return self._scaled[w]
+
+    @property
+    def denominator(self) -> int:
+        """D, the least common denominator of all transposition matrices."""
+        if self._denominator is None:
+            self._denominator = lcm(
+                *(
+                    self.scaled_matrix(transposition(self.n, i, j))[1]
+                    for i in range(1, self.n)
+                    for j in range(i + 1, self.n + 1)
+                )
+            )
+        return self._denominator
+
+    def scaled_transposition(self, i: int, j: int) -> tuple:
+        """Columns of D times the matrix of (i j), with integer entries."""
         if i > j:
             i, j = j, i
-        return self.matrix(transposition(self.n, i, j))
+        key = (i, j)
+        if key not in self._scaled_transpositions:
+            cols, d = self.scaled_matrix(transposition(self.n, i, j))
+            f = self.denominator // d
+            self._scaled_transpositions[key] = tuple(
+                tuple((row, c * f) for row, c in col) for col in cols
+            )
+        return self._scaled_transpositions[key]
 
 
 def _compose(m1: Matrix, m2: Matrix) -> Matrix:
@@ -130,9 +171,10 @@ def tau_action(w, tab_index: int, shape) -> dict[int, Fraction]:
 class VectorPoly:
     """Finite sum of terms ``coeff * x^exponent (x) basis_tableau``.
 
-    Coefficients are either all RatFunc (generic parameter) or all Fraction
-    (specialized); terms with zero coefficient are never stored.  Instances
-    are immutable; arithmetic returns new objects.
+    Coefficients are either all RatFunc (generic parameter) or all rational,
+    Fraction or int (specialized; divide them through Fraction); terms with
+    zero coefficient are never stored.  Instances are immutable; arithmetic
+    returns new objects.
     """
 
     __slots__ = ("shape", "n", "terms")
@@ -233,12 +275,29 @@ class VectorPoly:
             out[key] = c * coeff if coeff is not None else c
         return VectorPoly(self.shape, out)
 
-    def mul_scalar_poly(self, scalar_terms) -> "VectorPoly":
-        """Multiply by a scalar polynomial given as {exponent: coefficient}."""
-        out = VectorPoly.zero(self.shape)
-        for exp, c in scalar_terms.items():
-            out = out + self.mul_monomial(exp, c)
-        return out
+    def cleared(self) -> tuple[int, dict] | None:
+        """(L, integer terms) with self = terms / L when every coefficient is
+        rational, L the least common denominator; None over Q(kappa)."""
+        coeffs = self.terms.values()
+        if any(isinstance(c, RatFunc) for c in coeffs):
+            return None
+        den = lcm(*(c.denominator for c in coeffs))
+        return den, {
+            key: c.numerator * (den // c.denominator) for key, c in self.terms.items()
+        }
+
+    @staticmethod
+    def from_cleared(shape, terms, den: int) -> "VectorPoly":
+        """The polynomial terms / den; an integer term that den divides
+        stays an int."""
+        out = {}
+        for key, v in terms.items():
+            if isinstance(v, int):
+                q, r = divmod(v, den)
+                out[key] = Fraction(v, den) if r else q
+            else:
+                out[key] = v / den if den != 1 else v
+        return VectorPoly(shape, out)
 
     def map_coefficients(self, fn) -> "VectorPoly":
         return VectorPoly(self.shape, {k: fn(c) for k, c in self.terms.items()})
@@ -297,22 +356,24 @@ class VectorPoly:
 
 
 def group_action(w, p: VectorPoly) -> VectorPoly:
-    """w(p)(x) = tau(w) p(xw); exponents permute as (w.exp)_i = exp_{w^{-1}(i)}."""
-    ctx = tau_context(p.shape)
-    mat = ctx.matrix(tuple(w))
-    out = {}
-    for (exp, tab), coeff in p.terms.items():
-        new_exp = perm_apply_to_composition(w, exp)
-        for row, c in mat[tab]:
+    """w(p)(x) = tau(w) p(xw); exponents permute as (w.exp)_i = exp_{w^{-1}(i)}.
+
+    The image accumulates over the integer matrix of w, with one division
+    per term at the end; rational coefficients are first cleared to
+    integers, so that for them the whole sum is integer arithmetic."""
+    cols, d = tau_context(p.shape).scaled_matrix(w)
+    cleared = p.cleared()
+    den, coeffs = (1, p.terms) if cleared is None else cleared
+    moved = {}
+    acc = {}
+    for (exp, tab), c in coeffs.items():
+        new_exp = moved.get(exp)
+        if new_exp is None:
+            new_exp = moved[exp] = perm_apply_to_composition(w, exp)
+        for row, e in cols[tab]:
             key = (new_exp, row)
-            acc = out.get(key)
-            contrib = c * coeff
-            new = contrib if acc is None else acc + contrib
-            if new:
-                out[key] = new
-            elif acc is not None:
-                del out[key]
-    return VectorPoly(p.shape, out)
+            acc[key] = acc.get(key, 0) + e * c
+    return VectorPoly.from_cleared(p.shape, acc, den * d)
 
 
 def leading_vector(alpha, tableau: Rsyt) -> VectorPoly:

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-from nsjack.combinatorics import enumerate_rsyt
+from nsjack.combinatorics import enumerate_rsyt, transposition
 from nsjack.jack import spectral_vector_at
 from nsjack.operators import cherednik_prime
 from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
@@ -155,3 +155,65 @@ def eigensolve_jack(alpha, tableau, kappa0) -> VectorPoly:
         shape,
         {basis[c]: scale * vec[c] for c in range(dim) if vec[c]},
     )
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference formulas for the integer operator kernels
+# ---------------------------------------------------------------------------
+
+
+def _add_term(acc, key, value):
+    acc[key] = acc.get(key, Fraction(0)) + value
+
+
+def group_action_fractions(w, p):
+    """w(p) term by term in Fraction arithmetic: tau(w) on the tableau and
+    (w.exp)_i = exp_{w^{-1}(i)} on the exponent."""
+    mat = tau_context(p.shape).matrix(tuple(w))
+    acc = {}
+    for (exp, tab), coeff in p.terms.items():
+        new_exp = [0] * len(exp)
+        for i, a in enumerate(exp):
+            new_exp[w[i] - 1] = a
+        for row, c in mat[tab]:
+            _add_term(acc, (tuple(new_exp), row), Fraction(c) * Fraction(coeff))
+    return VectorPoly(p.shape, {k: v for k, v in acc.items() if v})
+
+
+def jucys_murphy_fractions(i, p):
+    """Sum over j > i of the transposition (i j), in Fraction arithmetic."""
+    acc = {}
+    for j in range(i + 1, p.n + 1):
+        w = list(range(1, p.n + 1))
+        w[i - 1], w[j - 1] = j, i
+        for key, c in group_action_fractions(w, p).terms.items():
+            _add_term(acc, key, c)
+    return VectorPoly(p.shape, {k: v for k, v in acc.items() if v})
+
+
+def dunkl_fractions(i, p, kappa0):
+    """D_i p = d/dx_i p + kappa0 * sum_{j != i} tau((i j)) applied to
+    (p(x) - p(x (i j))) / (x_i - x_j), with each divided difference expanded
+    monomial by monomial."""
+    kappa0 = Fraction(kappa0)
+    ctx = tau_context(p.shape)
+    acc = {}
+    for (exp, tab), coeff in p.terms.items():
+        coeff = Fraction(coeff)
+        if exp[i - 1]:
+            d = list(exp)
+            d[i - 1] -= 1
+            _add_term(acc, (tuple(d), tab), coeff * exp[i - 1])
+        for j in range(1, p.n + 1):
+            a, b = exp[i - 1], exp[j - 1]
+            if j == i or a == b:
+                continue
+            # (x_i^a x_j^b - x_i^b x_j^a) / (x_i - x_j), by the geometric sum
+            sign, hi, lo = (1, a, b) if a > b else (-1, b, a)
+            for t in range(hi - lo):
+                mono = list(exp)
+                mono[i - 1] = lo + t
+                mono[j - 1] = hi - 1 - t
+                for row, c in ctx.matrix(transposition(p.n, i, j))[tab]:
+                    _add_term(acc, (tuple(mono), row), kappa0 * coeff * sign * c)
+    return VectorPoly(p.shape, {k: v for k, v in acc.items() if v})

@@ -189,3 +189,47 @@ def test_certificate_round_trips_through_schema(capsys):
     )
     # lossless: re-serializing the parsed document is identical
     assert json.dumps(cert, indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["singular", "verify", "--m", "0", "--k", "2"],  # m out of range
+        ["singular", "verify", "--m", "2", "--k", "2", "--n", "2"],  # n not coprime to m+2
+        ["jack", "construct", "--alpha", "1,x,0,0", "--tableau-contents=-3,-2,-1,0"],
+        ["jack", "construct", "--alpha", "1,1,0,0", "--tableau-contents=-3,-2,y,0"],
+        ["jack", "construct", "--alpha", "1,1,0,0", "--tableau-contents=0,5,0,0"],
+        [
+            "jack", "construct", "--alpha", "1,1,0,0",
+            "--tableau-contents=-3,-2,-1,0", "--kappa", "1/0",
+        ],
+    ],
+    ids=["m0", "n_not_coprime", "alpha_int", "contents_int", "no_tableau", "kappa_p_over_0"],
+)
+def test_bad_parameters_exit_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nsjack: error: ")
+
+
+def test_optimized_interpreter_gives_identical_certificate():
+    # the certificate's checks are raises, not asserts: -O changes nothing
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["-m", "nsjack.cli", "--format", "json", "singular", "verify", "--m", "1", "--k", "2"]
+    outputs = [
+        subprocess.run(
+            [sys.executable, *flags, *argv], env=env, capture_output=True, timeout=300
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [p.returncode for p in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout
+    assert json.loads(outputs[1].stdout)["verified"] is True

@@ -16,6 +16,8 @@ from nsjack.combinatorics import (
     max_inv_source,
 )
 from nsjack.jack import (
+    ColumnTable,
+    JackPolynomial,
     ReflectionCase,
     ZeroDenominator,
     apply_simple_reflection,
@@ -267,3 +269,60 @@ def test_b_value_never_degenerates_on_valid_labels():
             for alpha in [(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1)]:
                 for i in range(1, 4):
                     b_value(alpha, tab, i)  # must not raise ZeroDenominator
+
+
+# ---------------------------------------------------------------------------
+# the constructor's guards raise (and so survive python -O) on forged input
+# ---------------------------------------------------------------------------
+
+
+def test_guard_basis_invariance(monkeypatch):
+    import nsjack.jack as jack_module
+
+    tab = Rsyt([[4, 3], [2, 1]])
+    foreign = (9, 0, 0, 0)  # not below the label (1, 1, 0, 0)
+    monkeypatch.setattr(
+        jack_module, "uprime_column", lambda i, exp, t, ctx: {(foreign, 0): (1, 0)}
+    )
+    with pytest.raises(AssertionError, match="not invariant"):
+        construct_jack((1, 1, 0, 0), tab, ColumnTable(tab.shape))
+
+
+def test_guard_factor_annihilating_the_label(monkeypatch):
+    import nsjack.jack as jack_module
+
+    tab = Rsyt([[4, 3], [2, 1]])
+    alpha = (1, 1, 0, 0)
+    target = spectral_pairs(alpha, tab)
+    monkeypatch.setattr(
+        jack_module, "_projection_factors", lambda *args: [(1, target[0])]
+    )
+    with pytest.raises(ZeroDenominator):
+        construct_jack(alpha, tab, ColumnTable(tab.shape))
+
+
+def test_guard_projection_keeps_the_leading_term(monkeypatch):
+    import nsjack.jack as jack_module
+
+    # a zero U'_i turns every factor into the scalar -v / (zeta - v)
+    tab = Rsyt([[4, 3], [2, 1]])
+    monkeypatch.setattr(jack_module, "uprime_column", lambda i, exp, t, ctx: {})
+    with pytest.raises(AssertionError, match="leading term"):
+        construct_jack((1, 1, 0, 0), tab, ColumnTable(tab.shape))
+
+
+def test_guard_reflection_keeps_the_leading_term():
+    tab = Rsyt([[4, 3], [2, 1]])
+    j = construct_jack((0, 1, 0, 0), tab)
+    forged = JackPolynomial(j.alpha, j.tableau, j.poly.scale(RatFunc.from_int(2)), j.spectral)
+    with pytest.raises(AssertionError, match="leading term"):
+        apply_simple_reflection(1, forged, verify=False)
+
+
+def test_shared_column_table_gives_the_cached_result():
+    tab = Rsyt([[4, 3], [2, 1]])
+    table = ColumnTable(tab.shape)
+    for alpha in [(1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)]:
+        assert construct_jack(alpha, tab, table) == construct_jack(alpha, tab)
+    with pytest.raises(ValueError):
+        construct_jack((1, 0, 0), Rsyt([[3, 2, 1]]), table)

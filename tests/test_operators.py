@@ -16,6 +16,8 @@ from nsjack.operators import (
 from nsjack.ratfunc import KAPPA, RatFunc
 from nsjack.vectorpoly import VectorPoly, group_action, tau_context
 
+from oracles import dunkl_fractions, group_action_fractions, jucys_murphy_fractions
+
 
 def random_poly(rng, shape, deg=2, nterms=3):
     n = sum(shape)
@@ -153,24 +155,57 @@ def test_singularity_criterion_equivalence():
 
 
 def test_uprime_column_matches_operator():
-    # matrix assembly agrees with the generic operator on single monomials
+    # integer matrix assembly, divided by the shape's transposition
+    # denominator D, agrees with the generic operator on single monomials
     rng = random.Random(9)
-    for shape in [(2, 2), (3, 1, 1)]:
+    for shape in [(2, 2), (3, 1, 1), (2, 2, 2, 2)]:
         ctx = tau_context(shape)
         n = sum(shape)
         dim = ctx.dim
+        big_d = ctx.denominator
         for _ in range(10):
             exp = tuple(rng.randint(0, 2) for _ in range(n))
             tab = rng.randrange(dim)
             i = rng.randint(1, n)
             col = uprime_column(i, exp, tab, ctx)
+            assert all(type(a) is int and type(b) is int for a, b in col.values())
             p = VectorPoly.monomial(shape, exp, tab)
             expected = cherednik_prime(i, p)
             rebuilt = VectorPoly(
                 shape,
                 {
-                    key: RatFunc.kappa_inverse() * nu + RatFunc.from_fraction(const)
-                    for key, (nu, const) in col.items()
+                    key: RatFunc.kappa_inverse() * Fraction(a, big_d)
+                    + RatFunc.from_fraction(Fraction(b, big_d))
+                    for key, (a, b) in col.items()
                 },
             )
             assert rebuilt == expected
+    assert tau_context((2, 2, 2, 2)).denominator == 1296
+
+
+def random_rational_poly(rng, shape, deg=2, nterms=6):
+    n = sum(shape)
+    dim = len(enumerate_rsyt(shape))
+    terms = {}
+    for _ in range(nterms):
+        exp = tuple(rng.randint(0, deg) for _ in range(n))
+        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        if coeff:
+            terms[(exp, rng.randrange(dim))] = coeff
+    return VectorPoly(shape, terms)
+
+
+def test_integer_kernels_match_fraction_formulas():
+    # dunkl at a rational kappa, group_action and jucys_murphy clear
+    # denominators and work on integers; compare with Fraction arithmetic
+    rng = random.Random(10)
+    for shape in [(2, 2), (3, 1, 1), (2, 2, 2, 2)]:
+        n = sum(shape)
+        for kappa0 in (Fraction(2, 7), Fraction(-1, 4), Fraction(3)):
+            for _ in range(3):
+                p = random_rational_poly(rng, shape)
+                for i in range(1, n + 1):
+                    assert dunkl(i, p, kappa0) == dunkl_fractions(i, p, kappa0)
+                    assert jucys_murphy(i, p) == jucys_murphy_fractions(i, p)
+                w = tuple(rng.sample(range(1, n + 1), n))
+                assert group_action(w, p) == group_action_fractions(w, p)

@@ -17,6 +17,7 @@ from nsjack.jack import construct_jack, spectral_vector_at, specialize
 from nsjack.operators import dunkl
 from nsjack.singular import (
     BadParams,
+    NonzeroDunklImage,
     NotIsotypic,
     OrderViolation,
     alpha_variants,
@@ -343,3 +344,76 @@ def test_example_n5():
     assert report.neither_singular and report.neither_invariant
     assert report.combination_singular and report.combination_invariant
     assert report.eigenvalues == (4, 3, 2, 1, 0)
+
+
+def test_family_context_cache_ignores_default_spelling():
+    assert family_context(1, 2) is family_context(1, 2, 1)
+    assert family_context(1, 2, n=1) is family_context(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the certificate's checks raise (and so survive python -O) on forged input
+# ---------------------------------------------------------------------------
+
+
+def test_perturbed_member_fails_the_dunkl_check(monkeypatch):
+    import dataclasses
+
+    import nsjack.singular as singular_module
+
+    fam = family_context(1, 2)
+    member = fam.members[0]
+    # bump one coefficient of a non-constant monomial
+    key = next(k for k in member.specialized.terms if any(k[0]))
+    terms = dict(member.specialized.terms)
+    terms[key] += 1
+    forged = dataclasses.replace(
+        member, specialized=VectorPoly(member.specialized.shape, terms)
+    )
+    forged_fam = dataclasses.replace(fam, members=(forged,) + fam.members[1:])
+    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged_fam)
+    with pytest.raises(NonzeroDunklImage):
+        singular_family(1, 2)
+
+
+def test_two_isotype_sum_is_not_isotypic():
+    fam = family_context(1, 2)
+    first, second = fam.members
+    assert first.source != second.source
+    with pytest.raises(NotIsotypic):
+        isotype_of(first.specialized + second.specialized)
+    assert isotype_of(first.specialized.scale(Fraction(-3, 7))) == first.source
+
+
+def test_spectral_identity_guard(monkeypatch):
+    import nsjack.singular as singular_module
+
+    real = singular_module.spectral_vector_at
+    monkeypatch.setattr(
+        singular_module,
+        "spectral_vector_at",
+        lambda *args: tuple(z + 1 for z in real(*args)),
+    )
+    with pytest.raises(NotIsotypic, match="spectral vector"):
+        singular_family(1, 2)
+
+
+def test_brick_content_identity_guard(monkeypatch):
+    import nsjack.singular as singular_module
+
+    real = singular_module.rank_permutation
+    monkeypatch.setattr(
+        singular_module, "rank_permutation", lambda beta: tuple(reversed(real(beta)))
+    )
+    with pytest.raises(BadParams, match="brick content identity"):
+        brick_map(Rsyt([[8, 6, 5, 2], [7, 4, 3, 1]]), 2)
+
+
+def test_gamma_guard_on_a_degenerate_pair():
+    from nsjack.singular import BrickPair, gamma_factor
+
+    source = Rsyt([[4, 3], [2, 1]])
+    # entries 1 and 2 share a row (content gap 1) but sit in different bricks
+    pair = BrickPair((0, 1, 1, 1), source, source, 1, 2)
+    with pytest.raises(BadParams, match="degenerate gamma"):
+        gamma_factor(pair)
