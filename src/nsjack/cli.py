@@ -46,17 +46,21 @@ def _tableau_text(rows) -> str:
     return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows)
 
 
+class UsageError(ValueError):
+    """Malformed command-line input (exit code 2)."""
+
+
 def _load_tableau(path):
     with open(path) as fh:
         rows = json.load(fh)
     try:
         return Rsyt(rows)
     except ValueError:
+        pass
+    try:
         return ColumnStrictTableau(rows)
-
-
-class UsageError(ValueError):
-    """Malformed command-line input (exit code 2)."""
+    except ValueError as exc:
+        raise UsageError(f"{path} holds no tableau: {exc}") from None
 
 
 def _parse_ints(text) -> tuple[int, ...]:
@@ -203,6 +207,12 @@ def _cmd_closure(args):
 def _cmd_jack_construct(args):
     alpha = _parse_ints(args.alpha)
     tableau = rsyt_from_contents(_parse_ints(args.tableau_contents))
+    if len(alpha) != tableau.n:
+        raise UsageError(
+            f"label has {len(alpha)} exponents, the tableau {tableau.n} entries"
+        )
+    if min(alpha) < 0:
+        raise UsageError(f"exponents must be nonnegative, got {args.alpha!r}")
     kappa0 = None if args.kappa is None else _parse_kappa(args.kappa)
     jack = construct_jack(alpha, tableau)
     doc = {

@@ -496,7 +496,8 @@ def reduce_by_permissible_steps(tab) -> list[int]:
         nonlocal current
         before = inv_statistic(current)
         current = apply_permissible_step(current, i)
-        assert inv_statistic(current) == before + 1
+        if inv_statistic(current) != before + 1:
+            raise NotReducible(f"step {i} does not raise the inversion count by one")
         steps.append(i)
 
     # fix columns left to right: raise the bottom entry until it is one below
@@ -510,9 +511,11 @@ def reduce_by_permissible_steps(tab) -> list[int]:
         for col in range(num_cols, swap_col + 1, -1):
             while current.entry(1, col) > current.entry(2, col) + 1:
                 step(current.entry(1, col) - 1)
-        assert current == swapped_inv_max(num_cols, jrow, swap_col)
+        done = current == swapped_inv_max(num_cols, jrow, swap_col)
     else:
-        assert current.rows == max_inv_source_rows(num_cols)
+        done = current.rows == max_inv_source_rows(num_cols)
+    if not done:
+        raise NotReducible(f"reduction ends at {current.rows}, not at the top")
     return steps
 
 

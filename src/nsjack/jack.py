@@ -37,7 +37,7 @@ from .combinatorics import (
     transposition,
 )
 from .operators import cherednik_prime, uprime_column
-from .ratfunc import PoleAtKappa, RatFunc
+from .ratfunc import PoleAtKappa, RatFunc, clear_denominators
 from .vectorpoly import VectorPoly, group_action, leading_vector, tau_context
 
 
@@ -466,12 +466,82 @@ def _labelled(alpha, tableau, poly, verify: bool) -> JackPolynomial:
 
 
 def verify_eigen_equations(jack: JackPolynomial, indices=None):
-    """Assert U'_i J = zeta'(i) J over Q(kappa) for the given indices."""
+    """Check U'_i J = zeta'(i) J over Q(kappa) for the given indices (all by
+    default), with zeta'(i) = a / kappa + c from ``spectral_pairs``; raise
+    AssertionError naming the first index that fails.
+
+    No arithmetic in Q(kappa) is done.  The coefficients of J are cleared
+    once: Q is the lcm of their distinct denominators and N = Q J has
+    coefficients in Z[kappa].  Each equation is then checked exactly at the
+    single integer point kappa = K = 2^w, by the rational-kappa operator
+    ``cherednik_prime(i, N(K), K)`` against N(K) scaled by a / K + c.
+
+    Soundness.  U'_i = (1/kappa) E + F with E = x_i d/dx_i and F the sum of
+    the seminormal transpositions tau(ij) composed with x_i times the divided
+    differences (j != i) and with the swaps s_ij (j > i); neither depends on
+    kappa.  U'_i is Q(kappa)-linear, so U'_i J = zeta'(i) J iff
+    U'_i N = zeta'(i) N.  Multiply the difference by kappa D, where
+    D = ``ctx.denominator`` makes T = D F an integer map:
+
+        R = D E N + kappa T N - D (a + c kappa) N,
+
+    a vector of integer polynomials in kappa (degree at most deg N + 1),
+    with K D (lhs - rhs) = R(K) for the lhs and rhs compared at K.  Let H
+    bound the coefficients of N, e the largest exponent, n the number of
+    variables, t the number of terms and M the largest entry of the integer
+    matrices D tau(ij).  E, a and c keep each key; a term of N reaches a
+    given key through T at most twice per j != i (one telescoped monomial,
+    one swap), each time with a factor of size at most M.  Hence every
+    coefficient r of R has
+
+        |r| <= B = H (D (e + |a| + |c|) + 2 (n - 1) M t).
+
+    With w = bit_length(B) + 1, |r| < K / 2.  If R(K) = 0 but R != 0, take a
+    key with R nonzero there and its lowest nonzero coefficient r_j: then
+    K divides r_j, against 0 < |r_j| < K.  So equal images at K prove R = 0,
+    the equation over Q(kappa).  The width comes from the data, so no fixed
+    point can be fooled by a coefficient that vanishes there.
+    """
+    pairs = spectral_pairs(jack.alpha, jack.tableau)
+    point, packed = _kronecker_image(jack)
     for i in indices or range(1, len(jack.alpha) + 1):
-        lhs = cherednik_prime(i, jack.poly)
-        rhs = jack.poly.scale(jack.spectral[i - 1])
-        if lhs != rhs:
+        a, c = pairs[i - 1]
+        lhs = cherednik_prime(i, packed, point)
+        if lhs != packed.scale(Fraction(a, point) + c):
             raise AssertionError(
                 f"eigen equation fails at index {i} for label "
                 f"({jack.alpha}, {jack.tableau.rows})"
             )
+
+
+def _kronecker_image(jack: JackPolynomial) -> tuple[int, VectorPoly]:
+    """(K, N(K)): the Kronecker point of ``verify_eigen_equations`` for J and
+    the cleared numerators N = Q J evaluated there."""
+    pairs = spectral_pairs(jack.alpha, jack.tableau)
+    poly = jack.poly
+    ctx = tau_context(jack.shape)
+    _, numerators = clear_denominators(poly.terms.values())
+    height = max((abs(c) for num in numerators for c in num), default=0)
+    top = max((max(exp) for exp, _ in poly.terms), default=0)
+    spread = max(abs(a) + abs(c) for a, c in pairs)
+    entry = max(
+        (
+            abs(v)
+            for i in range(1, poly.n)
+            for j in range(i + 1, poly.n + 1)
+            for col in ctx.scaled_transposition(i, j)
+            for _, v in col
+        ),
+        default=0,
+    )
+    bound = height * (
+        ctx.denominator * (top + spread) + 2 * (poly.n - 1) * entry * len(numerators)
+    )
+    width = bound.bit_length() + 1
+    terms = {}
+    for key, num in zip(poly.terms, numerators):
+        value = 0
+        for c in reversed(num):
+            value = (value << width) + c
+        terms[key] = value
+    return 1 << width, VectorPoly(jack.shape, terms)

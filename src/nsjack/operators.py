@@ -2,15 +2,19 @@
 polynomials.
 
 All operators are exact and work either at generic parameter (RatFunc
-coefficients) or at a fixed rational value (Fraction coefficients); pass the
-matching ``kappa``.  Divided differences are evaluated by the closed telescoping
-formula for monomials, which is the exact quotient by ``x_i - x_j``.
+coefficients) or at a fixed rational value (int or Fraction coefficients);
+pass the matching ``kappa``.  Divided differences are evaluated by the closed
+telescoping formula for monomials, which is the exact quotient by
+``x_i - x_j``.
 
 The seminormal matrices enter as integers over a common denominator, and at
 a rational kappa the Dunkl operator and the group action clear the input's
 denominators and run on integers, dividing once per term at the end; a zero
-image costs no fraction at all.  ``uprime_column`` builds U'_i columns on
-the same integer scale.
+image costs no fraction at all.  The generic eigen equations are checked on
+this rational path too: ``jack.verify_eigen_equations`` runs
+``cherednik_prime`` at one integer Kronecker point on cleared numerators.
+``uprime_column`` builds U'_i columns on the same integer scale for the
+projection constructor.
 """
 
 from __future__ import annotations
@@ -116,27 +120,6 @@ def cherednik_prime(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     else:
         inv = Fraction(1) / Fraction(kappa)
     return _x_dunkl(i, p, kappa).scale(inv) + jucys_murphy(i, p)
-
-
-def cherednik_from_definition(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
-    """The defining expression D_i(x_i p) - kappa * sum_{j<i} (i,j) p; equals
-    cherednik(i, p) and is kept as an independent cross-check."""
-    if kappa is None:
-        kappa = KAPPA
-    e_i = tuple(int(t == i - 1) for t in range(p.n))
-    out = dunkl(i, p.mul_monomial(e_i), kappa)
-    for j in range(1, i):
-        out = out - group_action(transposition(p.n, i, j), p).scale(kappa)
-    return out
-
-
-def is_singular_at(p: VectorPoly, kappa0, indices=None) -> bool:
-    """Whether every Dunkl operator kills the (specialized) polynomial."""
-    kappa0 = Fraction(kappa0)
-    for i in indices or range(1, p.n + 1):
-        if not dunkl(i, p, kappa0).is_zero():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

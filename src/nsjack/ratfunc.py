@@ -11,7 +11,7 @@ are equal, so hashing and exact comparison are cheap.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class PoleAtKappa(ArithmeticError):
@@ -335,8 +335,8 @@ class RatFunc:
         kappa0 = Fraction(kappa0)
         den = _eval_poly(self.den, kappa0)
         if den == 0:
-            num = _eval_poly(self.num, kappa0)
-            assert num != 0, "removable singularity in canonical form"
+            if _eval_poly(self.num, kappa0) == 0:
+                raise ValueError(f"{self} is not reduced: 0/0 at kappa = {kappa0}")
             raise PoleAtKappa(kappa0)
         return _eval_poly(self.num, kappa0) / den
 
@@ -383,6 +383,27 @@ def _canonicalize(num, den):
         num = _exact_div_primitive(num, g)
         den = _exact_div_primitive(den, g)
     return _content_normalize(num, den)
+
+
+def clear_denominators(values) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """(q, numerators) with q the lcm in Z[kappa] of the distinct
+    denominators of ``values`` and each numerator c * q in Z[kappa].
+
+    One polynomial gcd and two exact divisions per distinct denominator;
+    nothing is canonicalized.
+    """
+    values = list(values)
+    parts = {}
+    content, prim = 1, (1,)
+    for den in {c.den for c in values}:
+        c, p = _primitive(den)
+        parts[den] = (c, p)
+        content = lcm(content, c)
+        prim = _mul(prim, _exact_div(p, _gcd_poly(prim, p)))
+    cofactor = {
+        den: _scale(_exact_div(prim, p), content // c) for den, (c, p) in parts.items()
+    }
+    return _scale(prim, content), [_mul(c.num, cofactor[c.den]) for c in values]
 
 
 _ZERO = RatFunc.from_int(0)

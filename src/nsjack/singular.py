@@ -512,8 +512,8 @@ def norms_and_gamma(m: int, k: int) -> NormReport:
     fam = family_context(m, k)
     by_source = {member.source: member for member in fam.members}
     s0 = max_inv_source(m, k)
-    assert by_source[s0].source_norm_squared == 1
-    assert by_source[s0].gamma == 1
+    if (by_source[s0].source_norm_squared, by_source[s0].gamma) != (1, 1):
+        raise AssertionError(f"norm or gamma of the top source {s0.rows} is not 1")
     steps = 0
     for member in fam.members:
         low = member.source
@@ -524,15 +524,16 @@ def norms_and_gamma(m: int, k: int) -> NormReport:
             high_member = by_source[high]
             cv = high.content_vector()
             d = cv[i - 1] - cv[i]
-            assert d >= 2
+            if d < 2:
+                raise AssertionError(f"step {i} at {low.rows} has content gap {d} < 2")
             b = Fraction(1, d)
             factor = 1 - b * b
-            assert member.source_norm_squared == factor * high_member.source_norm_squared
+            if member.source_norm_squared != factor * high_member.source_norm_squared:
+                raise AssertionError(f"norm recursion fails at {low.rows}, step {i}")
             hb = high_member.pair.beta
-            if hb[i - 1] == hb[i]:
-                assert member.gamma == high_member.gamma
-            else:
-                assert member.gamma == factor * high_member.gamma
+            gamma_factor = 1 if hb[i - 1] == hb[i] else factor
+            if member.gamma != gamma_factor * high_member.gamma:
+                raise AssertionError(f"gamma recursion fails at {low.rows}, step {i}")
             steps += 1
     table = {
         member.source.content_vector(): (
@@ -738,8 +739,9 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     hinges = []
     nvars = 2 * m * k
     for s_idx, member in enumerate(fam.members):
-        assert member.pair.beta[-1] == 0  # top entry sits in the first brick
         source = member.source
+        if member.pair.beta[-1] != 0:
+            raise ClosureViolation(f"top entry of {source.rows} is not in the first brick")
         spec = member.specialized
         cv = source.content_vector()
         for i in range(1, nvars):
@@ -765,15 +767,18 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
                 if beta[i - 1] != beta[i]:
                     expected_label = tuple(n * x for x in _swap(beta, i))
                     scalar = 1 - b * b if beta[i - 1] > beta[i] else Fraction(1)
-                    assert other.label == expected_label
-                    assert other.pair.tableau == member.pair.tableau
+                    expected_tableau = member.pair.tableau
                 else:
                     j = rank_permutation(member.label)[i - 1]
-                    assert other.label == member.label
-                    assert other.pair.tableau == Rsyt(
-                        member.pair.tableau.swap_entries(j)
-                    )
+                    expected_label = member.label
+                    expected_tableau = Rsyt(member.pair.tableau.swap_entries(j))
                     scalar = Fraction(1) if b > 0 else 1 - b * b
+                if (other.label, other.pair.tableau) != (expected_label, expected_tableau):
+                    raise ClosureViolation(
+                        f"generic case at source {source.rows}, i={i} reaches "
+                        f"label {other.label} on {other.pair.tableau.rows}, not "
+                        f"the predicted {expected_label} on {expected_tableau.rows}"
+                    )
                 lhs = swapped_poly - spec.scale(b)
                 if lhs != other.specialized.scale(scalar):
                     raise ClosureViolation(
@@ -792,11 +797,16 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
                         f"same-row case fails at {source.rows}, i={i}"
                     )
             else:
-                assert diff == 1 and beta[i - 1] > beta[i]
+                if diff != 1 or beta[i - 1] <= beta[i]:
+                    raise ClosureViolation(
+                        f"unclassified case at source {source.rows}, i={i}"
+                    )
                 counts["hinge"] += 1
-                assert b_value(member.label, member.pair.tableau, i).evaluate(
-                    fam.kappa0
-                ) == 1
+                b = b_value(member.label, member.pair.tableau, i).evaluate(fam.kappa0)
+                if b != 1:
+                    raise ClosureViolation(
+                        f"hinge at source {source.rows}, i={i} has b = {b}, not 1"
+                    )
                 hinge_label = tuple(n * x for x in _swap(beta, i))
                 hinge_jack = construct_jack(hinge_label, member.pair.tableau)
                 specialize(hinge_jack, fam.kappa0)  # must not pole
@@ -855,7 +865,8 @@ def example_n5() -> HookExampleReport:
     p2 = specialize(j2, kappa0)
     z1 = spectral_vector_at(alpha, t, kappa0)
     z2 = spectral_vector_at(beta, t_prime, kappa0)
-    assert z1 == z2 == tuple(map(Fraction, (4, 3, 2, 1, 0)))
+    if not z1 == z2 == tuple(map(Fraction, (4, 3, 2, 1, 0))):
+        raise AssertionError(f"spectral vectors {z1} and {z2} are not (4,3,2,1,0)")
 
     def singular(p):
         return all(dunkl(i, p, kappa0).is_zero() for i in range(1, 6))
@@ -869,8 +880,8 @@ def example_n5() -> HookExampleReport:
     eigen = []
     for i in range(1, 6):
         image = cherednik_prime(i, combo, kappa0)
-        expected = combo.scale(Fraction(5 - i))
-        assert image == expected
+        if image != combo.scale(Fraction(5 - i)):
+            raise AssertionError(f"U'_{i} of the combination is not {5 - i} times it")
         eigen.append(Fraction(5 - i))
     report = HookExampleReport(
         kappa0=kappa0,

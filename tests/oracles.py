@@ -9,8 +9,9 @@ from math import factorial
 
 from nsjack.combinatorics import enumerate_rsyt, transposition
 from nsjack.jack import spectral_vector_at
-from nsjack.operators import cherednik_prime
-from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
+from nsjack.operators import cherednik_prime, dunkl
+from nsjack.ratfunc import KAPPA
+from nsjack.vectorpoly import VectorPoly, group_action, leading_vector, tau_context
 
 
 def hook_length_count(shape):
@@ -217,3 +218,43 @@ def dunkl_fractions(i, p, kappa0):
                 for row, c in ctx.matrix(transposition(p.n, i, j))[tab]:
                     _add_term(acc, (tuple(mono), row), kappa0 * coeff * sign * c)
     return VectorPoly(p.shape, {k: v for k, v in acc.items() if v})
+
+
+# ---------------------------------------------------------------------------
+# operator identities and eigen equations in Q(kappa) arithmetic
+# ---------------------------------------------------------------------------
+
+
+def cherednik_from_definition(i, p, kappa=None):
+    """The defining expression D_i(x_i p) - kappa * sum_{j<i} (i,j) p; equals
+    cherednik(i, p)."""
+    if kappa is None:
+        kappa = KAPPA
+    e_i = tuple(int(t == i - 1) for t in range(p.n))
+    out = dunkl(i, p.mul_monomial(e_i), kappa)
+    for j in range(1, i):
+        out = out - group_action(transposition(p.n, i, j), p).scale(kappa)
+    return out
+
+
+def is_singular_at(p, kappa0, indices=None):
+    """Whether every Dunkl operator kills the (specialized) polynomial."""
+    kappa0 = Fraction(kappa0)
+    for i in indices or range(1, p.n + 1):
+        if not dunkl(i, p, kappa0).is_zero():
+            return False
+    return True
+
+
+def verify_eigen_equations_ratfunc(jack, indices=None):
+    """Assert U'_i J = zeta'(i) J over Q(kappa) for the given indices, by
+    applying the generic operator in RatFunc arithmetic and comparing
+    canonical forms."""
+    for i in indices or range(1, len(jack.alpha) + 1):
+        lhs = cherednik_prime(i, jack.poly)
+        rhs = jack.poly.scale(jack.spectral[i - 1])
+        if lhs != rhs:
+            raise AssertionError(
+                f"eigen equation fails at index {i} for label "
+                f"({jack.alpha}, {jack.tableau.rows})"
+            )

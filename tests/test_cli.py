@@ -199,19 +199,39 @@ def test_certificate_round_trips_through_schema(capsys):
         ["jack", "construct", "--alpha", "1,x,0,0", "--tableau-contents=-3,-2,-1,0"],
         ["jack", "construct", "--alpha", "1,1,0,0", "--tableau-contents=-3,-2,y,0"],
         ["jack", "construct", "--alpha", "1,1,0,0", "--tableau-contents=0,5,0,0"],
+        ["jack", "construct", "--alpha", "1,1", "--tableau-contents=-3,-2,-1,0"],
         [
             "jack", "construct", "--alpha", "1,1,0,0",
             "--tableau-contents=-3,-2,-1,0", "--kappa", "1/0",
         ],
     ],
-    ids=["m0", "n_not_coprime", "alpha_int", "contents_int", "no_tableau", "kappa_p_over_0"],
+    ids=[
+        "m0",
+        "n_not_coprime",
+        "alpha_int",
+        "contents_int",
+        "no_tableau",
+        "label_length",
+        "kappa_p_over_0",
+    ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, capsys):
-    assert main(argv) == 2
+    assert_usage_error(main(argv), capsys)
+
+
+def assert_usage_error(code, capsys):
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("nsjack: error: ")
+
+
+def test_brickmap_file_holding_no_tableau_exits_2(tmp_path, capsys):
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps([[1, 2], [3, 4]]))  # columns increase
+    code = main(["brickmap", "--tableau-json", str(path), "--m", "1"])
+    assert_usage_error(code, capsys)
 
 
 def test_optimized_interpreter_gives_identical_certificate():

@@ -30,10 +30,11 @@ from nsjack.jack import (
     verify_eigen_equations,
 )
 from nsjack.operators import cherednik_prime, dunkl
-from nsjack.ratfunc import PoleAtKappa, RatFunc
+from nsjack.ratfunc import KAPPA, PoleAtKappa, RatFunc, clear_denominators
+from nsjack.singular import family_context
 from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
 
-from oracles import eigensolve_jack
+from oracles import eigensolve_jack, verify_eigen_equations_ratfunc
 
 
 def naive_projection(alpha, tableau):
@@ -326,3 +327,97 @@ def test_shared_column_table_gives_the_cached_result():
         assert construct_jack(alpha, tab, table) == construct_jack(alpha, tab)
     with pytest.raises(ValueError):
         construct_jack((1, 0, 0), Rsyt([[3, 2, 1]]), table)
+
+
+# ---------------------------------------------------------------------------
+# the eigen check at one Kronecker point against the Q(kappa) oracle
+# ---------------------------------------------------------------------------
+
+
+def eigen_verdicts(jack, indices=None):
+    """(packed check passes, Q(kappa) oracle passes)."""
+    verdicts = []
+    for check in (verify_eigen_equations, verify_eigen_equations_ratfunc):
+        try:
+            check(jack, indices)
+        except AssertionError:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return tuple(verdicts)
+
+
+def forge(jack, poly):
+    return JackPolynomial(jack.alpha, jack.tableau, poly, jack.spectral)
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (1, 3)])
+def test_eigen_check_agrees_with_oracle_on_families(m, k):
+    for member in family_context(m, k).members:
+        assert eigen_verdicts(member.jack) == (True, True)
+
+
+def test_eigen_check_agrees_with_oracle_on_every_reflection_case():
+    # the transformed polynomials carry coefficients the constructor never
+    # produced (scaled by b and by 1 / (1 - b^2))
+    found = {}
+    for shape in [(2, 2), (2, 1, 1)]:
+        for tab in enumerate_rsyt(shape):
+            for alpha in [(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 2), (1, 0, 2, 0)]:
+                jack = construct_jack(alpha, tab)
+                for i in range(1, 4):
+                    try:
+                        res = apply_simple_reflection(i, jack, verify=False)
+                    except ZeroDenominator:
+                        continue
+                    found.setdefault(res.case, res.result)
+    assert set(found) == set(ReflectionCase)
+    for case, result in found.items():
+        assert eigen_verdicts(result) == (True, True), case
+        # a monomial of another degree, outside the homogeneous support
+        stray = (0, 0, 0, 0) if any(result.alpha) else (1, 0, 0, 0)
+        extra = VectorPoly.monomial(result.shape, stray, 0, KAPPA)
+        assert eigen_verdicts(forge(result, result.poly + extra)) == (False, False), case
+
+
+def test_eigen_check_rejects_one_perturbed_coefficient():
+    jack = family_context(1, 3).members[0].jack
+    terms = dict(jack.poly.terms)
+    key = max(terms, key=lambda k: len(terms[k].den))
+    terms[key] = terms[key] + RatFunc((1,), (3, 1))
+    assert eigen_verdicts(forge(jack, VectorPoly(jack.shape, terms))) == (False, False)
+
+
+def test_eigen_check_width_follows_the_data():
+    # a coefficient c (kappa - K0) vanishes at the point chosen for the honest
+    # member, so a check pinned there would accept; the forged data widen it
+    from nsjack.jack import _kronecker_image
+
+    jack = family_context(1, 2).members[0].jack
+    point, packed = _kronecker_image(jack)
+    constant = (0,) * len(jack.alpha)  # outside the homogeneous support
+    forged = forge(
+        jack, jack.poly + VectorPoly.monomial(jack.shape, constant, 0, (KAPPA - point) * 5)
+    )
+    _, numerators = clear_denominators(forged.poly.terms.values())
+    at_point = {}
+    for term, num in zip(forged.poly.terms, numerators):
+        value = 0
+        for c in reversed(num):
+            value = value * point + c
+        at_point[term] = value
+    assert VectorPoly(jack.shape, at_point) == packed
+    assert _kronecker_image(forged)[0] > point
+    assert eigen_verdicts(forged) == (False, False)
+
+
+def test_eigen_check_honours_indices():
+    # two degree-0 Jack polynomials whose tableaux agree in contents at
+    # entries 1 and 4 only: their sum is an eigenvector of U'_1 and U'_4
+    first, second = enumerate_rsyt((2, 2))
+    zero = (0, 0, 0, 0)
+    total = construct_jack(zero, first).poly + construct_jack(zero, second).poly
+    jack = forge(construct_jack(zero, first), total)
+    assert eigen_verdicts(jack, (1, 4)) == (True, True)
+    assert eigen_verdicts(jack, (2,)) == (False, False)
+    assert eigen_verdicts(jack) == (False, False)

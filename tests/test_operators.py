@@ -6,17 +6,21 @@ from fractions import Fraction
 from nsjack.combinatorics import enumerate_rsyt, transposition
 from nsjack.operators import (
     cherednik,
-    cherednik_from_definition,
     cherednik_prime,
     dunkl,
-    is_singular_at,
     jucys_murphy,
     uprime_column,
 )
 from nsjack.ratfunc import KAPPA, RatFunc
 from nsjack.vectorpoly import VectorPoly, group_action, tau_context
 
-from oracles import dunkl_fractions, group_action_fractions, jucys_murphy_fractions
+from oracles import (
+    cherednik_from_definition,
+    dunkl_fractions,
+    group_action_fractions,
+    is_singular_at,
+    jucys_murphy_fractions,
+)
 
 
 def random_poly(rng, shape, deg=2, nterms=3):

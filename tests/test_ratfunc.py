@@ -12,6 +12,7 @@ from nsjack.ratfunc import (
     ZERO,
     PoleAtKappa,
     RatFunc,
+    clear_denominators,
     format_rational,
     parse_rational,
 )
@@ -115,3 +116,20 @@ def test_rational_strings():
     assert parse_rational("-7") == Fraction(-7)
     assert format_rational(Fraction(4, 6)) == "2/3"
     assert format_rational(Fraction(5)) == "5"
+
+
+def test_evaluate_rejects_a_form_that_is_not_reduced():
+    forged = RatFunc((-1, 1), (-1, 1), _canonical=True)  # (k - 1) / (k - 1)
+    with pytest.raises(ValueError, match="not reduced"):
+        forged.evaluate(1)
+
+
+@settings(max_examples=100)
+@given(st.lists(ratfuncs(), min_size=1, max_size=6))
+def test_clear_denominators_gives_one_common_multiple(values):
+    q, numerators = clear_denominators(values)
+    assert q[-1] > 0
+    for value, num in zip(values, numerators):
+        assert RatFunc(num, q) == value
+        # q is a multiple of every denominator
+        assert RatFunc(q, value.den).den == (1,)

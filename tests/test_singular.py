@@ -17,6 +17,7 @@ from nsjack.jack import construct_jack, spectral_vector_at, specialize
 from nsjack.operators import dunkl
 from nsjack.singular import (
     BadParams,
+    ClosureViolation,
     NonzeroDunklImage,
     NotIsotypic,
     OrderViolation,
@@ -417,3 +418,51 @@ def test_gamma_guard_on_a_degenerate_pair():
     pair = BrickPair((0, 1, 1, 1), source, source, 1, 2)
     with pytest.raises(BadParams, match="degenerate gamma"):
         gamma_factor(pair)
+
+
+def forge_family(monkeypatch, field, value, member=1):
+    """Serve family_context(1, 2) with one member's field replaced."""
+    import dataclasses
+
+    import nsjack.singular as singular_module
+
+    fam = family_context(1, 2)
+    members = list(fam.members)
+    members[member] = dataclasses.replace(members[member], **{field: value})
+    forged = dataclasses.replace(fam, members=tuple(members))
+    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
+
+
+@pytest.mark.parametrize(
+    "field, match",
+    [("gamma", "gamma recursion"), ("source_norm_squared", "norm recursion")],
+)
+def test_norm_recursion_rejects_a_forged_member(monkeypatch, field, match):
+    # members[1] is the lower source of the one permissible step
+    honest = family_context(1, 2).members[1]
+    forge_family(monkeypatch, field, 2 * getattr(honest, field))
+    with pytest.raises(AssertionError, match=match):
+        norms_and_gamma(1, 2)
+
+
+def test_norm_recursion_rejects_a_forged_top_member(monkeypatch):
+    forge_family(monkeypatch, "gamma", Fraction(1, 2), member=0)
+    with pytest.raises(AssertionError, match="top source"):
+        norms_and_gamma(1, 2)
+
+
+def test_closure_rejects_a_forged_label(monkeypatch):
+    honest = family_context(1, 2).members[0]
+    forge_family(monkeypatch, "label", tuple(reversed(honest.label)), member=0)
+    with pytest.raises(ClosureViolation, match="generic case"):
+        closure_check(1, 2)
+
+
+def test_closure_rejects_a_member_outside_the_first_brick(monkeypatch):
+    import dataclasses
+
+    honest = family_context(1, 2).members[1]
+    pair = dataclasses.replace(honest.pair, beta=(1, 0, 0, 1))
+    forge_family(monkeypatch, "pair", pair)
+    with pytest.raises(ClosureViolation, match="first brick"):
+        closure_check(1, 2)
