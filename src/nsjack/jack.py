@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .combinatorics import (
@@ -219,14 +218,6 @@ class ColumnTable:
         return col
 
 
-@lru_cache(maxsize=512)
-def _construct_cached(alpha: tuple[int, ...], contents: tuple[int, ...]):
-    from .combinatorics import rsyt_from_contents
-
-    tableau = rsyt_from_contents(contents)
-    return _construct(alpha, tableau, ColumnTable(tableau.shape))
-
-
 def construct_jack(
     alpha, tableau: Rsyt, columns: ColumnTable | None = None
 ) -> JackPolynomial:
@@ -237,7 +228,7 @@ def construct_jack(
     every i (asserted by the test suite against independent solves).
 
     ``columns`` shares U'_i columns with other constructions of the same
-    shape; without it the result is cached per label.
+    shape.
     """
     alpha = tuple(alpha)
     if len(alpha) != tableau.n:
@@ -245,8 +236,8 @@ def construct_jack(
     if any(a < 0 for a in alpha):
         raise ValueError("exponents must be nonnegative")
     if columns is None:
-        return _construct_cached(alpha, tableau.content_vector())
-    if columns.ctx.shape != tableau.shape:
+        columns = ColumnTable(tableau.shape)
+    elif columns.ctx.shape != tableau.shape:
         raise ValueError(f"column table for shape {columns.ctx.shape}")
     return _construct(alpha, tableau, columns)
 

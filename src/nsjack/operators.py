@@ -45,6 +45,13 @@ def _divided_difference_monomials(exp, i, j):
             yield tuple(base), -1
 
 
+def _check_index(i: int, p: VectorPoly) -> None:
+    """Operators are indexed 1..n; a ValueError for any other index (the
+    Cherednik operators reach this through ``dunkl``)."""
+    if not 1 <= i <= p.n:
+        raise ValueError(f"operator index {i} outside 1..{p.n}")
+
+
 def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     """Dunkl operator: partial derivative plus kappa times the sum of divided
     differences twisted by the transposition action.
@@ -55,6 +62,7 @@ def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     whole sum is integer arithmetic; otherwise lam = kappa, mu = L = 1 and
     the coefficients stay field elements.  One division per term ends it.
     """
+    _check_index(i, p)
     ctx = tau_context(p.shape)
     if kappa is None:
         kappa = KAPPA
@@ -93,6 +101,7 @@ def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
 def jucys_murphy(i: int, p: VectorPoly) -> VectorPoly:
     """Sum of transpositions (i, j) over j > i acting on the module; the
     top index gives the zero operator."""
+    _check_index(i, p)
     out = VectorPoly.zero(p.shape)
     for j in range(i + 1, p.n + 1):
         out = out + group_action(transposition(p.n, i, j), p)

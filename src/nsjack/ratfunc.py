@@ -145,10 +145,12 @@ def _exact_div(f, g):
     return _trim(out)
 
 
-def _eval_poly(f, x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _eval_homogeneous(f, p: int, q: int) -> int:
+    """q^(len(f) - 1) * f(p/q), by Horner steps on the homogenised form."""
+    out, qk = 0, 1
     for c in reversed(f):
-        out = out * x + c
+        out = out * p + c * qk
+        qk *= q
     return out
 
 
@@ -224,24 +226,6 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        if self.den == (1,) and other.den == (1,):
-            return RatFunc(_add(self.num, other.num), (1,), _canonical=True)
-        if self.den == other.den:
-            return RatFunc(_add(self.num, other.num), self.den)
-        g = _gcd_poly(self.den, other.den)
-        if len(g) == 1:
-            # coprime denominator parts: the sum is already reduced over Q
-            num = _add(_mul(self.num, other.den), _mul(other.num, self.den))
-            if not num:
-                return _ZERO
-            return RatFunc(
-                *_content_normalize(num, _mul(self.den, other.den)),
-                _canonical=True,
-            )
         return RatFunc(
             _add(_mul(self.num, other.den), _mul(other.num, self.den)),
             _mul(self.den, other.den),
@@ -265,34 +249,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.num or not other.num:
-            return _ZERO
-        if self.den == (1,) and other.den == (1,):
-            return RatFunc(_mul(self.num, other.num), (1,), _canonical=True)
-        if other.is_constant():
-            return self._scaled(other.num[0], other.den[0])
-        if self.is_constant():
-            return other._scaled(self.num[0], self.den[0])
-        # cross-cancel, after which the product is reduced up to contents
-        a, b, c, d = self.num, self.den, other.num, other.den
-        g1 = _gcd_poly(a, d)
-        if len(g1) > 1:
-            a, d = _exact_div_primitive(a, g1), _exact_div_primitive(d, g1)
-        g2 = _gcd_poly(c, b)
-        if len(g2) > 1:
-            c, b = _exact_div_primitive(c, g2), _exact_div_primitive(b, g2)
-        return RatFunc(
-            *_content_normalize(_mul(a, c), _mul(b, d)), _canonical=True
-        )
-
-    def _scaled(self, p: int, q: int) -> "RatFunc":
-        """Multiply by the rational p/q: only contents change."""
-        if p == 0:
-            return _ZERO
-        return RatFunc(
-            *_content_normalize(_scale(self.num, p), _scale(self.den, q)),
-            _canonical=True,
-        )
+        return RatFunc(_mul(self.num, other.num), _mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -333,12 +290,18 @@ class RatFunc:
         """Exact value at kappa = kappa0; raises PoleAtKappa on a vanishing
         denominator (removable singularities cannot occur in reduced form)."""
         kappa0 = Fraction(kappa0)
-        den = _eval_poly(self.den, kappa0)
+        p, q = kappa0.numerator, kappa0.denominator
+        num = _eval_homogeneous(self.num, p, q)
+        den = _eval_homogeneous(self.den, p, q)
         if den == 0:
-            if _eval_poly(self.num, kappa0) == 0:
+            if num == 0:
                 raise ValueError(f"{self} is not reduced: 0/0 at kappa = {kappa0}")
             raise PoleAtKappa(kappa0)
-        return _eval_poly(self.num, kappa0) / den
+        # the value is num / den times q^(deg den - deg num)
+        shift = len(self.den) - len(self.num)
+        if shift >= 0:
+            return Fraction(num * q**shift, den)
+        return Fraction(num, den * q**-shift)
 
     def to_json(self):
         return {
@@ -367,14 +330,6 @@ def _exact_div_primitive(f, g):
     return _scale(_exact_div(p, g), c)
 
 
-def _content_normalize(num, den):
-    """Canonical scaling when the polynomial parts are already coprime."""
-    cn, pn = _primitive(num)
-    cd, pd = _primitive(den)
-    scalar = Fraction(cn, cd)
-    return _scale(pn, scalar.numerator), _scale(pd, scalar.denominator)
-
-
 def _canonicalize(num, den):
     if not num:
         return (), (1,)
@@ -382,7 +337,11 @@ def _canonicalize(num, den):
     if len(g) > 1:
         num = _exact_div_primitive(num, g)
         den = _exact_div_primitive(den, g)
-    return _content_normalize(num, den)
+    # coprime polynomial parts: only the contents remain to be scaled
+    cn, pn = _primitive(num)
+    cd, pd = _primitive(den)
+    scalar = Fraction(cn, cd)
+    return _scale(pn, scalar.numerator), _scale(pd, scalar.denominator)
 
 
 def clear_denominators(values) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -406,8 +365,7 @@ def clear_denominators(values) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     return _scale(prim, content), [_mul(c.num, cofactor[c.den]) for c in values]
 
 
-_ZERO = RatFunc.from_int(0)
-ZERO = _ZERO
+ZERO = RatFunc.from_int(0)
 ONE = RatFunc.from_int(1)
 KAPPA = RatFunc.kappa()
 

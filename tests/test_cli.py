@@ -171,22 +171,19 @@ def test_certificate_round_trips_through_schema(capsys):
     import pathlib
 
     import jsonschema
+    from referencing import Registry, Resource
 
     schema_dir = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
     store = {}
     for path in schema_dir.glob("*.schema.json"):
         doc = json.loads(path.read_text())
         store[doc["$id"]] = doc
+    registry = Registry().with_resources(
+        (uri, Resource.from_contents(doc)) for uri, doc in store.items()
+    )
     _, out = run(capsys, "--format", "json", "singular", "verify", "--m", "1", "--k", "2")
     cert = json.loads(out)
-    resolver = jsonschema.RefResolver(
-        base_uri="urn:nsjack:certificate",
-        referrer=store["urn:nsjack:certificate"],
-        store=store,
-    )
-    jsonschema.validate(
-        cert, store["urn:nsjack:certificate"], resolver=resolver
-    )
+    jsonschema.validate(cert, store["urn:nsjack:certificate"], registry=registry)
     # lossless: re-serializing the parsed document is identical
     assert json.dumps(cert, indent=2) + "\n" == out
 
@@ -253,3 +250,107 @@ def test_optimized_interpreter_gives_identical_certificate():
     assert [p.returncode for p in outputs] == [0, 0]
     assert outputs[0].stdout == outputs[1].stdout
     assert json.loads(outputs[1].stdout)["verified"] is True
+
+
+# -- failed checks: one exit-1 document, whatever the command -----------------
+
+
+def assert_failure_document(code, capsys, match):
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["verified"] is False and match in doc["error"]
+
+
+def test_norms_with_a_forged_gamma_exits_1(monkeypatch, capsys):
+    import dataclasses
+
+    import nsjack.singular as singular_module
+
+    fam = singular_module.family_context(1, 2)
+    # members[1] is the lower source of the one permissible step
+    members = list(fam.members)
+    members[1] = dataclasses.replace(members[1], gamma=2 * members[1].gamma)
+    forged = dataclasses.replace(fam, members=tuple(members))
+    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
+    code = main(["--format", "json", "norms", "--m", "1", "--k", "2"])
+    assert_failure_document(code, capsys, "gamma recursion")
+
+
+def _annihilating_factor(monkeypatch, jack_module):
+    monkeypatch.setattr(
+        jack_module,
+        "_projection_factors",
+        lambda alpha, tableau, *rest: [(1, jack_module.spectral_pairs(alpha, tableau)[0])],
+    )
+    return "annihilates the label"
+
+
+def _foreign_column(monkeypatch, jack_module):
+    foreign = (9, 0, 0, 0)  # below no label of the (1, 2) family
+    monkeypatch.setattr(
+        jack_module, "uprime_column", lambda i, exp, t, ctx: {(foreign, 0): (1, 0)}
+    )
+    return "not invariant"
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [_annihilating_factor, _foreign_column],
+    ids=["zero_denominator", "basis_invariance"],
+)
+def test_singular_verify_with_a_raising_constructor_guard_exits_1(
+    forge, monkeypatch, capsys
+):
+    import nsjack.jack as jack_module
+    import nsjack.singular as singular_module
+
+    match = forge(monkeypatch, jack_module)
+    # construct afresh rather than serve the cached family
+    monkeypatch.setattr(
+        singular_module, "_family_context", singular_module._family_context.__wrapped__
+    )
+    code = main(["--format", "json", "singular", "verify", "--m", "1", "--k", "2"])
+    assert_failure_document(code, capsys, match)
+
+
+# -- apply-operator: indices and input files are usage errors -------------------
+
+
+def _poly_file(tmp_path):
+    from nsjack.ratfunc import RatFunc
+    from nsjack.vectorpoly import VectorPoly
+
+    poly = VectorPoly.monomial((2, 2), (1, 0, 2, 0), 0, RatFunc.from_int(1))
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"shape": [2, 2], "poly": poly.to_json()}))
+    return path
+
+
+@pytest.mark.parametrize("index", [-1, 0, 5, 9])
+def test_apply_operator_index_out_of_range_exits_2(index, tmp_path, capsys):
+    argv = ["apply-operator", "--op", "dunkl", "--index", str(index)]
+    argv += ["--input", str(_poly_file(tmp_path)), "--kappa", "1/3"]
+    assert_usage_error(main(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, json.dumps({"shape": [2, 2]}), "{not json", "[1, 2]"],
+    ids=["missing_file", "no_poly_key", "not_json", "not_a_document"],
+)
+def test_apply_operator_bad_input_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ["apply-operator", "--op", "dunkl", "--index", "1", "--input", str(path)]
+    assert_usage_error(main(argv), capsys)
+
+
+def test_apply_operator_top_index_is_in_range(tmp_path, capsys):
+    argv = ["--format", "json", "apply-operator", "--op", "jucys-murphy"]
+    argv += ["--index", "4", "--input", str(_poly_file(tmp_path))]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["result"] == []

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from nsjack.combinatorics import enumerate_rsyt, transposition
 from nsjack.operators import (
     cherednik,
@@ -213,3 +215,22 @@ def test_integer_kernels_match_fraction_formulas():
                     assert jucys_murphy(i, p) == jucys_murphy_fractions(i, p)
                 w = tuple(rng.sample(range(1, n + 1), n))
                 assert group_action(w, p) == group_action_fractions(w, p)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda i, p: dunkl(i, p),
+        lambda i, p: dunkl(i, p, Fraction(1, 3)),
+        lambda i, p: jucys_murphy(i, p),
+        lambda i, p: cherednik(i, p),
+        lambda i, p: cherednik_prime(i, p, Fraction(1, 3)),
+    ],
+    ids=["dunkl", "dunkl_at_kappa", "jucys_murphy", "cherednik", "cherednik_prime"],
+)
+@pytest.mark.parametrize("i", [-1, 0, 5])
+def test_operator_index_outside_1_to_n_raises(op, i):
+    # exp[i - 1] would wrap around for i <= 0 and overrun for i > n
+    p = VectorPoly.monomial((2, 2), (1, 0, 2, 0), 0, Fraction(1))
+    with pytest.raises(ValueError, match="outside 1..4"):
+        op(i, p)
