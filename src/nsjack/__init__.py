@@ -39,6 +39,7 @@ from .operators import cherednik, cherednik_prime, dunkl, jucys_murphy
 from .ratfunc import KAPPA, ONE, ZERO, PoleAtKappa, RatFunc, parse_rational
 from .singular import (
     BadParams,
+    BrickIdentityViolation,
     BrickPair,
     ClosureViolation,
     NonzeroDunklImage,

@@ -12,14 +12,18 @@ distinct (index, value) pair is applied once.
 The hot loop works on an invariant basis (the order ideal of the leading
 exponent tensored with all tableaux) with coefficients written as integer
 polynomials in 1/kappa packed into single big integers (fixed-width signed
-digits), so a projection step is a handful of big-integer multiply-adds per
-matrix entry; a digit-width bound computed from the matrices makes the
-packing provably overflow-free.  The U'_i columns are integers over the
-shape's transposition denominator D (1296 for (2,2,2,2)), each built once
-into a ``ColumnTable`` that the product reads through the label's exponent
-offsets.  A family's labels permute one partition and share their lower
-exponents, so ``family_context`` passes one table to all its constructions
-and drops it on return; a lone ``construct_jack`` builds its own.
+digits).  Only the diagonal of U'_i has a 1/kappa part, so a projection step
+is one fused multiply-add per diagonal entry and one ``b * u`` per other
+entry; a digit-width bound from the column 1-norms (each column's sum of
+|a| + |b|) makes the packing provably overflow-free.  The decode divides
+out the known linear denominators by trial division and needs no
+polynomial gcd.  The U'_i columns are integers over the shape's
+transposition denominator D (1296 for (2,2,2,2)), each built once, with its
+norm, into a ``ColumnTable``; a construction resolves them to the positions
+of its basis once per index.  A family's labels permute one partition and
+share their lower exponents, so ``family_context`` passes one table to all
+its constructions and drops it on return; a lone ``construct_jack`` builds
+its own.
 """
 
 from __future__ import annotations
@@ -144,15 +148,31 @@ def _try_div_linear(poly: list[int], a: int, b: int) -> list[int] | None:
 
 
 def _nu_fraction_to_ratfunc(num: list[int], den: list[int]) -> RatFunc:
-    """num(nu)/den(nu) with nu = 1/kappa, as a canonical element of Q(kappa)."""
+    """num(nu)/den(nu) with nu = 1/kappa, as a canonical element of Q(kappa).
+
+    The constructor's decode calls it with a nonzero num and with den an
+    integer times primitive linears a*nu + b (a != 0), none of which divides
+    num in Z[nu].  The fraction is then reduced without a polynomial gcd.
+
+    Proof.  With w the larger of the two lengths, N = kappa^(w-1) num(1/kappa)
+    and M = kappa^(w-1) den(1/kappa) are integer polynomials with
+    N/M = num/den.  The longer of num and den has a nonzero top coefficient,
+    which is the constant term of N or of M, so kappa does not divide both.
+    Every other irreducible factor of M over Q is a + b*kappa (b != 0) for a
+    linear a*nu + b of den, and a + b*kappa dividing N would make a*nu + b
+    divide num over Q; a*nu + b is primitive, so by Gauss's lemma it would
+    divide num in Z[nu], which the trial division ruled out.  N and M thus
+    share no polynomial factor over Q, and dividing both by the gcd of their
+    contents, signed so that M's leading coefficient (the first nonzero
+    entry of den) is positive, gives the canonical form.
+    """
     width = max(len(num), len(den))
-    num_k = [0] * width
-    den_k = [0] * width
-    for t, c in enumerate(num):
-        num_k[width - 1 - t] = c
-    for t, c in enumerate(den):
-        den_k[width - 1 - t] = c
-    return RatFunc(num_k, den_k)
+    g = gcd(*num, *den)
+    if next(c for c in den if c) < 0:
+        g = -g
+    num_k = [0] * (width - len(num)) + [c // g for c in reversed(num)]
+    den_k = [0] * (width - len(den)) + [c // g for c in reversed(den)]
+    return RatFunc(num_k, den_k, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +181,12 @@ def _nu_fraction_to_ratfunc(num: list[int], den: list[int]) -> RatFunc:
 
 
 def _jack_basis(alpha, dim: int):
-    """Lower exponents, the basis [(exp, tableau)] and each exponent's
-    offset: (exp, t) sits at position offsets[exp] + t."""
+    """Lower exponents, the basis [(exp, tableau)] and the position of each
+    basis key."""
     lower = compositions_strictly_below(alpha)
     exps = sorted(lower) + [tuple(alpha)]
     basis = [(exp, t) for exp in exps for t in range(dim)]
-    offsets = {exp: pos * dim for pos, exp in enumerate(exps)}
-    return lower, basis, offsets
+    return lower, basis, {key: pos for pos, key in enumerate(basis)}
 
 
 def _projection_factors(alpha, tableau, lower, ctx):
@@ -196,25 +215,28 @@ class ColumnTable:
     """U'_i columns of one shape, each built by ``uprime_column`` on first
     use and shared by every construction given the table.
 
-    A column is a flat tuple (exp, row, a, b, exp, row, a, b, ...) of
-    entries (a / kappa + b) / D at (exp, row), with exponents interned so
+    A column is a tuple (norm, a, b, keys, bs): the diagonal entry
+    (a / kappa + b) / D at the column's own (exp, tab), the other entries
+    bs[t] / D at keys[t] = (exp, row) (only the diagonal carries a 1/kappa
+    part) and norm, the column's sum of |a| + |b|.  Keys are interned so
     that the columns of many labels hold one copy of each.
     """
 
     def __init__(self, shape):
         self.ctx = tau_context(tuple(shape))
         self._columns: dict[tuple, tuple] = {}
-        self._exps: dict[tuple, tuple] = {}
+        self._keys: dict[tuple, tuple] = {}
 
     def column(self, i: int, exp, tab: int) -> tuple:
         key = (i, exp, tab)
         col = self._columns.get(key)
         if col is None:
-            intern = self._exps.setdefault
-            flat = []
-            for (e, row), (a, b) in uprime_column(i, exp, tab, self.ctx).items():
-                flat += (intern(e, e), row, a, b)
-            col = self._columns[key] = tuple(flat)
+            entries = uprime_column(i, exp, tab, self.ctx)
+            a, b = entries.pop((exp, tab), (0, 0))
+            keys = tuple(map(self._keys.setdefault, entries, entries))
+            bs = tuple([c for _, c in entries.values()])
+            norm = abs(a) + abs(b) + sum(map(abs, bs))
+            col = self._columns[key] = (norm, a, b, keys, bs)
         return col
 
 
@@ -243,41 +265,63 @@ def construct_jack(
 
 
 def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
+    """The projection product on packed integers, then the decode.
+
+    Digit width.  Write the vector as integer polynomials in nu = 1/kappa,
+    one per basis position, and let |x| be the sum of the absolute values
+    of all their digits.  A factor with index i and value v = va / kappa +
+    vb multiplies by D (U'_i - v), whose column at a position has entries
+    a * nu + b with sum of |a| + |b| at most amp_i + |D va| + |D vb|, amp_i
+    being the largest column norm of U'_i on the basis (``ColumnTable``).
+    A digit d of the input sends a * d and b * d to two digits of the
+    output for each entry, so |x| grows at most by that factor.  The packed
+    integers are these polynomials at nu = 2^width, a ring map, so only the
+    digits of the result need a bound, and each of them is at most
+
+        |start| * prod_f (amp_i + |D va| + |D vb|)
+
+    for the cleared starting vector start, a number of at most
+    bits(|start|) + sum_f bits(amp_i + |D va| + |D vb|) bits.  The width
+    adds 16 bits and one bit per factor of slack and is at least 64, so
+    every digit lies strictly inside the signed range and
+    ``_decode_digits`` recovers it exactly.
+    """
     ctx = columns.ctx
     start = leading_vector(alpha, tableau)
     spectral = spectral_vector(alpha, tableau)
-    lower, basis, offsets = _jack_basis(alpha, ctx.dim)
+    lower, basis, position = _jack_basis(alpha, ctx.dim)
     if not lower:
         return JackPolynomial(alpha, tableau, start, spectral)
     factors = _projection_factors(alpha, tableau, lower, ctx)
     target = spectral_pairs(alpha, tableau)
     big_d = ctx.denominator
-    dim = len(basis)
 
-    # per index: the shared columns in basis order, and the largest row sum
-    # of |a| + |b| (the invariance of the basis is checked on the way)
+    # per index: the largest column norm, the diagonal entries and every
+    # column's other entries as (positions, bs); resolving each entry's key
+    # to its position checks that the basis is invariant
     matrices = {}
     for i in sorted({i for i, _ in factors}):
-        cols = [columns.column(i, exp, tab) for exp, tab in basis]
-        row_amp = [0] * dim
-        for col in cols:
-            it = iter(col)
-            for e, row, a, b in zip(it, it, it, it):
-                offset = offsets.get(e)
-                if offset is None:
-                    raise AssertionError("projection basis is not invariant")
-                row_amp[offset + row] += abs(a) + abs(b)
-        matrices[i] = (cols, max(row_amp))
+        amp, diag_a, diag_b, offdiag = 0, [], [], []
+        for exp, tab in basis:
+            norm, a, b, keys, bs = columns.column(i, exp, tab)
+            if norm > amp:
+                amp = norm
+            diag_a.append(a)
+            diag_b.append(b)
+            try:
+                offdiag.append((list(map(position.__getitem__, keys)), bs))
+            except KeyError:
+                raise AssertionError("projection basis is not invariant") from None
+        matrices[i] = (amp, diag_a, diag_b, offdiag)
 
     # integer starting vector (constant digits)
     d0, start_ints = start.map_coefficients(RatFunc.as_fraction).cleared()
-    vec = [0] * dim
+    vec = [0] * len(basis)
     for (exp, tab), v in start_ints.items():
-        vec[offsets[exp] + tab] = v
-    start_max = max(map(abs, start_ints.values()))
+        vec[position[exp, tab]] = v
 
-    # provably sufficient digit width for the whole product
-    bits = start_max.bit_length() + 16
+    # provably sufficient digit width for the whole product (see above)
+    bits = sum(map(abs, start_ints.values())).bit_length() + 16
     denom_int = d0
     scaled_factors = []
     for i, (va, vb) in factors:
@@ -286,7 +330,7 @@ def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
         if dz == (0, 0):
             raise ZeroDenominator(f"factor {(i, (va, vb))} annihilates the label")
         dva, dvb = big_d * va, big_d * vb
-        bits += (abs(dva) + abs(dvb) + matrices[i][1]).bit_length() + 1
+        bits += (matrices[i][0] + abs(dva) + abs(dvb)).bit_length() + 1
         scaled_factors.append((i, dva, dvb, dz))
         denom_int *= big_d
     width = max(64, bits)
@@ -303,17 +347,16 @@ def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
         denom_linears.append((dza // g, dzc // g))
 
     for i, dva, dvb, _ in scaled_factors:
-        cols = matrices[i][0]
-        out = [0] * dim
-        for pos in range(dim):
-            u = vec[pos]
-            if not u:
-                continue
-            shifted = u << width
-            it = iter(cols[pos])
-            for e, row, a, b in zip(it, it, it, it):
-                out[offsets[e] + row] += a * shifted + b * u
-            out[pos] -= dva * shifted + dvb * u
+        _, diag_a, diag_b, offdiag = matrices[i]
+        # the diagonal, fused with the factor's -(D va nu + D vb)
+        out = [
+            (a - dva) * (u << width) + (b - dvb) * u
+            for u, a, b in zip(vec, diag_a, diag_b)
+        ]
+        for u, (targets, bs) in zip(vec, offdiag):
+            if u:
+                for pos, c in zip(targets, bs):
+                    out[pos] += c * u
         vec = out
 
     terms = {}
@@ -335,9 +378,7 @@ def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
                 new[t] += b * c
                 new[t + 1] += a * c
             den = new
-        coeff = _nu_fraction_to_ratfunc(digits, den)
-        if coeff:
-            terms[basis[pos]] = coeff
+        terms[basis[pos]] = _nu_fraction_to_ratfunc(digits, den)
 
     poly = VectorPoly(tableau.shape, terms)
     if poly.tableau_component(alpha) != start.tableau_component(alpha):

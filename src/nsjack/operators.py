@@ -141,29 +141,44 @@ def uprime_column(i: int, exp, tab: int, ctx) -> dict:
     times the shape's transposition denominator D = ``ctx.denominator``.
 
     Entries are integer pairs (a, b) meaning (a * (1/kappa) + b) / D; only
-    the diagonal carries a 1/kappa part.  The departing monomial of each
-    telescoped difference cancels against the Jucys-Murphy term for j > i,
-    so all images stay within the order ideal of the leading exponent.
+    the diagonal carries a 1/kappa part.  For j != i, with p = exp_i and
+    q = exp_j, x_i times the divided difference is the sum of the monomials
+    of exp with (exp_i, exp_j) replaced by (v, p + q - v), with sign +1 for
+    v in q+1..p when q < p and sign -1 for v in p+1..q when q > p.  The
+    Jucys-Murphy swap (j > i) is the same replacement at v = q with sign +1:
+    it fixes exp when q = p, adds the term v = q when q < p and cancels it
+    when q > p.  The term v = p is exp itself; every other monomial differs
+    from exp at exactly the positions i and j, so no two pairs (j, v) meet
+    and only the rows at exp accumulate.  All images stay within the order
+    ideal of the leading exponent.
     """
-    consts = {}
     e = exp[i - 1]
+    col = {}
+    at_exp = {}
+    moved = list(exp)
     for j in range(1, len(exp) + 1):
         if j == i:
             continue
         tcol = ctx.scaled_transposition(i, j)[tab]
-        if exp[j - 1] != e:
-            for new_exp, sign in _divided_difference_monomials(exp, i, j):
-                for row, c in tcol:
-                    key = (new_exp, row)
-                    consts[key] = consts.get(key, 0) + sign * c
-        if j > i:
-            swapped = list(exp)
-            swapped[i - 1], swapped[j - 1] = swapped[j - 1], swapped[i - 1]
-            swapped = tuple(swapped)
+        q = exp[j - 1]
+        if q < e or (q == e and j > i):
+            # the telescoped term at exp itself, or the swap fixing exp
             for row, c in tcol:
-                key = (swapped, row)
-                consts[key] = consts.get(key, 0) + c
-    col = {key: (0, b) for key, b in consts.items() if b}
+                at_exp[row] = at_exp.get(row, 0) + c
+        # the terms v != p; for j > i the swap adds (q < p) or cancels v = q
+        if q < e:
+            values, sign = range(q + (j < i), e), 1
+        else:
+            values, sign = range(e + 1, q + (j < i)), -1
+        for v in values:
+            moved[i - 1], moved[j - 1] = v, e + q - v
+            key_exp = tuple(moved)
+            for row, c in tcol:
+                col[(key_exp, row)] = (0, sign * c)
+        moved[i - 1], moved[j - 1] = e, q
+    for row, b in at_exp.items():
+        if b:
+            col[(exp, row)] = (0, b)
     if e:
-        col[(exp, tab)] = (e * ctx.denominator, consts.get((exp, tab), 0))
+        col[(exp, tab)] = (e * ctx.denominator, at_exp.get(tab, 0))
     return col

@@ -61,6 +61,11 @@ class NonzeroDunklImage(AssertionError):
     """A claimed singular polynomial is not killed by some Dunkl operator."""
 
 
+class BrickIdentityViolation(AssertionError):
+    """A brick pair breaks the content identity or has a degenerate gamma
+    factor: a failed check of the library, not a bad parameter."""
+
+
 # ---------------------------------------------------------------------------
 # brick map
 # ---------------------------------------------------------------------------
@@ -116,7 +121,9 @@ def brick_map(source, m: int) -> BrickPair:
     r = rank_permutation(beta)
     for i in range(n):
         if (m + 2) * beta[i] + tableau.content(r[i]) != source.content(i + 1):
-            raise BadShapeParams(f"brick content identity fails at entry {i + 1}")
+            raise BrickIdentityViolation(
+                f"brick content identity fails at entry {i + 1}"
+            )
     return BrickPair(beta, tableau, source, m, k)
 
 
@@ -148,7 +155,9 @@ def gamma_factor(pair: BrickPair) -> Fraction:
             if pair.beta[i] < pair.beta[j]:
                 d = cv[i] - cv[j]
                 if abs(d) < 2:
-                    raise BadParams(f"degenerate gamma factor at {i + 1}, {j + 1}")
+                    raise BrickIdentityViolation(
+                        f"degenerate gamma factor at {i + 1}, {j + 1}"
+                    )
                 out *= 1 - Fraction(1, d * d)
     return out
 

@@ -278,6 +278,19 @@ def test_norms_with_a_forged_gamma_exits_1(monkeypatch, capsys):
     assert_failure_document(code, capsys, "gamma recursion")
 
 
+def test_brickmap_failing_the_content_identity_exits_1(monkeypatch, tmp_path, capsys):
+    import nsjack.singular as singular_module
+
+    real = singular_module.rank_permutation
+    monkeypatch.setattr(
+        singular_module, "rank_permutation", lambda beta: tuple(reversed(real(beta)))
+    )
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps([[8, 6, 5, 2], [7, 4, 3, 1]]))
+    argv = ["--format", "json", "brickmap", "--tableau-json", str(path), "--m", "2"]
+    assert_failure_document(main(argv), capsys, "brick content identity")
+
+
 def _annihilating_factor(monkeypatch, jack_module):
     monkeypatch.setattr(
         jack_module,

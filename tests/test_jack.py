@@ -31,7 +31,7 @@ from nsjack.jack import (
 )
 from nsjack.operators import cherednik_prime, dunkl
 from nsjack.ratfunc import KAPPA, PoleAtKappa, RatFunc, clear_denominators
-from nsjack.singular import family_context
+from nsjack.singular import brick_map, family_context
 from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
 
 from oracles import eigensolve_jack, verify_eigen_equations_ratfunc
@@ -327,6 +327,19 @@ def test_shared_column_table_gives_the_cached_result():
         assert construct_jack(alpha, tab, table) == construct_jack(alpha, tab)
     with pytest.raises(ValueError):
         construct_jack((1, 0, 0), Rsyt([[3, 2, 1]]), table)
+
+
+def test_gcd_free_decode_gives_the_full_gcd_form():
+    # the decode reduces by trial division only; canonicalising each
+    # coefficient again by Euclid's algorithm must change nothing
+    jacks = [member.jack for member in family_context(1, 3).members]
+    pair = brick_map(enumerate_rsyt((4, 4))[0], 2)
+    jacks.append(construct_jack(pair.beta, pair.tableau))
+    assert jacks[-1].shape == (2, 2, 2, 2)
+    for jack in jacks:
+        for coeff in jack.poly.terms.values():
+            full = RatFunc(coeff.num, coeff.den)
+            assert (coeff.num, coeff.den) == (full.num, full.den)
 
 
 # ---------------------------------------------------------------------------

@@ -162,30 +162,36 @@ def test_singularity_criterion_equivalence():
 
 def test_uprime_column_matches_operator():
     # integer matrix assembly, divided by the shape's transposition
-    # denominator D, agrees with the generic operator on single monomials
+    # denominator D, agrees with the generic operator on single monomials at
+    # every index; exponents from 0..4 give both ties and gaps above 1
     rng = random.Random(9)
-    for shape in [(2, 2), (3, 1, 1), (2, 2, 2, 2)]:
+    ties = gaps = 0
+    for shape in [(2, 2), (3, 1, 1), (2, 2, 2), (1,) * 8, (2, 2, 2, 2)]:
         ctx = tau_context(shape)
         n = sum(shape)
-        dim = ctx.dim
         big_d = ctx.denominator
-        for _ in range(10):
-            exp = tuple(rng.randint(0, 2) for _ in range(n))
-            tab = rng.randrange(dim)
-            i = rng.randint(1, n)
-            col = uprime_column(i, exp, tab, ctx)
-            assert all(type(a) is int and type(b) is int for a, b in col.values())
+        for _ in range(3):
+            exp = tuple(rng.randint(0, 4) for _ in range(n))
+            ties += len(set(exp)) < n
+            gaps += any(abs(a - b) > 1 for a in exp for b in exp)
+            tab = rng.randrange(ctx.dim)
             p = VectorPoly.monomial(shape, exp, tab)
-            expected = cherednik_prime(i, p)
-            rebuilt = VectorPoly(
-                shape,
-                {
-                    key: RatFunc.kappa_inverse() * Fraction(a, big_d)
-                    + RatFunc.from_fraction(Fraction(b, big_d))
-                    for key, (a, b) in col.items()
-                },
-            )
-            assert rebuilt == expected
+            for i in range(1, n + 1):
+                col = uprime_column(i, exp, tab, ctx)
+                assert all(type(a) is int and type(b) is int for a, b in col.values())
+                expected = cherednik_prime(i, p)
+                rebuilt = VectorPoly(
+                    shape,
+                    {
+                        key: RatFunc.kappa_inverse() * Fraction(a, big_d)
+                        + RatFunc.from_fraction(Fraction(b, big_d))
+                        for key, (a, b) in col.items()
+                    },
+                )
+                assert rebuilt == expected, (shape, exp, tab, i)
+    assert ties and gaps
+    # (1^8) is the shape of the (1, 4) construction in the benchmark
+    assert tau_context((1,) * 8).denominator == 1
     assert tau_context((2, 2, 2, 2)).denominator == 1296
 
 

@@ -17,6 +17,7 @@ from nsjack.jack import construct_jack, spectral_vector_at, specialize
 from nsjack.operators import dunkl
 from nsjack.singular import (
     BadParams,
+    BrickIdentityViolation,
     ClosureViolation,
     NonzeroDunklImage,
     NotIsotypic,
@@ -406,7 +407,7 @@ def test_brick_content_identity_guard(monkeypatch):
     monkeypatch.setattr(
         singular_module, "rank_permutation", lambda beta: tuple(reversed(real(beta)))
     )
-    with pytest.raises(BadParams, match="brick content identity"):
+    with pytest.raises(BrickIdentityViolation, match="brick content identity"):
         brick_map(Rsyt([[8, 6, 5, 2], [7, 4, 3, 1]]), 2)
 
 
@@ -416,7 +417,7 @@ def test_gamma_guard_on_a_degenerate_pair():
     source = Rsyt([[4, 3], [2, 1]])
     # entries 1 and 2 share a row (content gap 1) but sit in different bricks
     pair = BrickPair((0, 1, 1, 1), source, source, 1, 2)
-    with pytest.raises(BadParams, match="degenerate gamma"):
+    with pytest.raises(BrickIdentityViolation, match="degenerate gamma"):
         gamma_factor(pair)
 
 
