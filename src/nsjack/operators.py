@@ -7,14 +7,21 @@ pass the matching ``kappa``.  Divided differences are evaluated by the closed
 telescoping formula for monomials, which is the exact quotient by
 ``x_i - x_j``.
 
-The seminormal matrices enter as integers over a common denominator, and at
-a rational kappa the Dunkl operator and the group action clear the input's
-denominators and run on integers, dividing once per term at the end; a zero
-image costs no fraction at all.  The generic eigen equations are checked on
-this rational path too: ``jack.verify_eigen_equations`` runs
-``cherednik_prime`` at one integer Kronecker point on cleared numerators.
-``uprime_column`` builds U'_i columns on the same integer scale for the
-projection constructor.
+The seminormal matrices enter as integers over a common denominator.  At a
+rational kappa the Dunkl operator and the group action (so also the
+Jucys-Murphy elements, one group-algebra sum each) clear the input's
+denominators and pack each exponent's tableau vector into one integer
+(``vectorpoly.packed_columns``): a transposition's image of an exponent is
+one sum of coefficient-times-column products, and each monomial of a
+divided difference costs one integer addition.  A digit width proved from
+the input's 1-norm makes the packing overflow-free, and one division per
+term ends it.  Over Q(kappa) the same sums run row by row.  The generic
+eigen equations are checked on the rational path too:
+``jack.verify_eigen_equations`` runs ``cherednik_prime`` at one integer
+Kronecker point on cleared numerators.  ``uprime_column`` builds U'_i
+columns on the same integer scale for the projection constructor; the
+operators above do not use it, so the eigen check stays independent of the
+constructor.
 """
 
 from __future__ import annotations
@@ -23,26 +30,16 @@ from fractions import Fraction
 
 from .combinatorics import transposition
 from .ratfunc import KAPPA, RatFunc
-from .vectorpoly import VectorPoly, group_action, tau_context
-
-
-def _divided_difference_monomials(exp, i, j):
-    """Monomials of x_i * (x^exp - x^{exp swapped at i,j}) / (x_i - x_j),
-    yielded as (exponent, sign). Empty when exp_i == exp_j."""
-    p, q = exp[i - 1], exp[j - 1]
-    if p == q:
-        return
-    base = list(exp)
-    if p > q:
-        for t in range(p - q):
-            base[i - 1] = q + t + 1
-            base[j - 1] = p - 1 - t
-            yield tuple(base), 1
-    else:
-        for t in range(q - p):
-            base[i - 1] = p + t + 1
-            base[j - 1] = q - 1 - t
-            yield tuple(base), -1
+from .vectorpoly import (
+    VectorPoly,
+    by_exponent,
+    column_norm,
+    from_packed,
+    group_action,
+    packed_columns,
+    packed_width,
+    tau_context,
+)
 
 
 def _check_index(i: int, p: VectorPoly) -> None:
@@ -56,11 +53,14 @@ def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     """Dunkl operator: partial derivative plus kappa times the sum of divided
     differences twisted by the transposition action.
 
-    The image is accumulated as mu * D * L times its value over the integer
-    transposition matrices (D = ``ctx.denominator``).  At a rational kappa =
-    lam / mu, rational coefficients are cleared to integers over L and the
-    whole sum is integer arithmetic; otherwise lam = kappa, mu = L = 1 and
-    the coefficients stay field elements.  One division per term ends it.
+    For j != i, with e = exp_i and q = exp_j, the divided difference of a
+    monomial is the sum of the monomials of exp with (exp_i, exp_j) replaced
+    by (v, e + q - 1 - v) for v in min(e, q)..max(e, q) - 1, with sign +1
+    when q < e and -1 when q > e.  At a rational kappa = lam / mu the input
+    is cleared to integers over L and packed, the image is accumulated as
+    mu * D * L times its value over the integer transposition matrices
+    D tau(ij) (D = ``ctx.denominator``), and one division per term ends
+    it.  Over Q(kappa) the sum runs row by row over tau(ij).
     """
     _check_index(i, p)
     ctx = tau_context(p.shape)
@@ -68,44 +68,98 @@ def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
         kappa = KAPPA
     cleared = None if isinstance(kappa, RatFunc) else p.cleared()
     if cleared is None:
-        den, coeffs, lam, mu = 1, p.terms, kappa, 1
-    else:
-        kappa = Fraction(kappa)
-        (den, coeffs), lam, mu = cleared, kappa.numerator, kappa.denominator
+        return _dunkl_rows(i, p, kappa, ctx)
+    kappa = Fraction(kappa)
+    return _dunkl_packed(i, p, cleared, kappa.numerator, kappa.denominator, ctx)
+
+
+def _dunkl_packed(i, p, cleared, lam, mu, ctx) -> VectorPoly:
+    """The Dunkl image at kappa = lam / mu for cleared coefficients (L,
+    integer terms), with each exponent's tableau vector packed into one
+    integer.
+
+    The image of an exponent under D tau(ij), lam times the packed columns,
+    is formed once per j; each monomial of the divided difference then adds
+    it with its sign, and the derivative adds e mu D times the packed input.
+
+    Digit width.  Let ||c||_1 be the sum of the absolute cleared
+    coefficients, deg the largest exponent in the input, and A_j the largest
+    column 1-norm of D tau(ij).  A term c x^exp (x) T with e = exp_i sends
+    |c| e mu D into one output digit through the derivative and, for each
+    j != i, |c| |lam| times a column 1-norm of D tau(ij) into the digits of
+    each of its |e - q| <= deg monomials.  So every output digit is at most
+
+        ||c||_1 * deg * (mu D + |lam| * sum_j A_j)
+
+    in absolute value, and the width holds that bound.  The packed integers
+    are the digit vectors at 2^width, a Z-linear map, so ``unpack``
+    recovers each digit exactly.
+    """
+    den, coeffs = cleared
+    groups = by_exponent(coeffs)
     derivative = mu * ctx.denominator
     tcols = {j: ctx.scaled_transposition(i, j) for j in range(1, p.n + 1) if j != i}
-    moves = {}  # exponent -> (transposition columns, monomial, sign) triples
+    deg = max((max(exp) for exp in groups), default=0)
+    factor = deg * (derivative + abs(lam) * sum(map(column_norm, tcols.values())))
+    width = packed_width(sum(map(abs, coeffs.values())) * factor)
+    packed = {j: packed_columns(cols, width, lam) for j, cols in tcols.items()}
     acc = {}
-    for (exp, tab), c in coeffs.items():
+    for exp, entries in groups.items():
+        e = exp[i - 1]
+        if e:
+            key = exp[: i - 1] + (e - 1,) + exp[i:]
+            vec = sum(c << (width * tab) for tab, c in entries)
+            acc[key] = acc.get(key, 0) + e * derivative * vec
+        moved = list(exp)
+        for j, cols in packed.items():
+            q = exp[j - 1]
+            if q == e:
+                continue
+            image = sum(c * cols[tab] for tab, c in entries)
+            if q > e:
+                image = -image
+            for v in range(min(e, q), max(e, q)):
+                moved[i - 1], moved[j - 1] = v, e + q - 1 - v
+                key = tuple(moved)
+                acc[key] = acc.get(key, 0) + image
+            moved[i - 1], moved[j - 1] = e, q
+    return from_packed(p.shape, acc, width, den * derivative)
+
+
+def _dunkl_rows(i, p, kappa, ctx) -> VectorPoly:
+    """The Dunkl image over Q(kappa), row by row over tau(ij)."""
+    tmats = {
+        j: ctx.matrix(transposition(p.n, i, j)) for j in range(1, p.n + 1) if j != i
+    }
+    acc = {}
+    for (exp, tab), c in p.terms.items():
         e = exp[i - 1]
         if e:
             key = (exp[: i - 1] + (e - 1,) + exp[i:], tab)
-            acc[key] = acc.get(key, 0) + c * (e * derivative)
-        exp_moves = moves.get(exp)
-        if exp_moves is None:
-            # x_i * divided difference carries one extra power of x_i; strip it
-            exp_moves = moves[exp] = [
-                (cols, m[: i - 1] + (m[i - 1] - 1,) + m[i:], sign)
-                for j, cols in tcols.items()
-                for m, sign in _divided_difference_monomials(exp, i, j)
-            ]
-        if exp_moves:
-            lc = lam * c
-            for cols, key_exp, sign in exp_moves:
-                for row, t in cols[tab]:
+            acc[key] = acc.get(key, 0) + c * e
+        kc = kappa * c
+        moved = list(exp)
+        for j, mat in tmats.items():
+            q = exp[j - 1]
+            if q == e:
+                continue
+            sign = 1 if q < e else -1
+            col = mat[tab]
+            for v in range(min(e, q), max(e, q)):
+                moved[i - 1], moved[j - 1] = v, e + q - 1 - v
+                key_exp = tuple(moved)
+                for row, t in col:
                     key = (key_exp, row)
-                    acc[key] = acc.get(key, 0) + lc * (sign * t)
-    return VectorPoly.from_cleared(p.shape, acc, den * derivative)
+                    acc[key] = acc.get(key, 0) + kc * (sign * t)
+            moved[i - 1], moved[j - 1] = e, q
+    return VectorPoly(p.shape, acc)
 
 
 def jucys_murphy(i: int, p: VectorPoly) -> VectorPoly:
-    """Sum of transpositions (i, j) over j > i acting on the module; the
-    top index gives the zero operator."""
+    """Sum of transpositions (i, j) over j > i acting on the module, as one
+    group-algebra element; the top index gives the zero operator."""
     _check_index(i, p)
-    out = VectorPoly.zero(p.shape)
-    for j in range(i + 1, p.n + 1):
-        out = out + group_action(transposition(p.n, i, j), p)
-    return out
+    return group_action([transposition(p.n, i, j) for j in range(i + 1, p.n + 1)], p)
 
 
 def _x_dunkl(i: int, p: VectorPoly, kappa) -> VectorPoly:

@@ -302,7 +302,9 @@ def isotype_of(p: VectorPoly) -> Rsyt:
     simultaneous eigenfunction with integer eigenvalues.
 
     p is cleared of denominators and scaled by the shape's transposition
-    denominator, so that every Jucys-Murphy image is computed in integers."""
+    denominator, so that every Jucys-Murphy image has integer coefficients;
+    an eigenvalue is checked to be an integer before p times it is
+    compared with the image."""
     if p.is_zero():
         raise NotIsotypic("zero polynomial has no isotype")
     cleared = p.cleared()
@@ -314,12 +316,15 @@ def isotype_of(p: VectorPoly) -> Rsyt:
     contents = []
     for i in range(1, p.n + 1):
         image = jucys_murphy(i, p)
-        q = Fraction(image.terms.get(key, 0), base)
+        q, r = divmod(image.terms.get(key, 0), base)
+        if r:
+            raise NotIsotypic(
+                f"non-integer eigenvalue {Fraction(image.terms[key], base)} "
+                f"at index {i}"
+            )
         if image != p.scale(q):
             raise NotIsotypic(f"not an eigenfunction of the index-{i} element")
-        if q.denominator != 1:
-            raise NotIsotypic(f"non-integer eigenvalue {q} at index {i}")
-        contents.append(q.numerator)
+        contents.append(q)
     try:
         return rsyt_from_contents(tuple(contents))
     except Exception as exc:

@@ -7,6 +7,12 @@ degree-zero transformation rules: for adjacent entries in the same row a
 simple reflection acts by +1, in the same column by -1, and otherwise it
 mixes the tableau with the one obtained by swapping the entries, weighted by
 the reciprocal content difference.
+
+``group_action`` takes one permutation or a sequence of them, which acts by
+their sum in the group algebra.  At rational coefficients it packs each
+exponent's tableau vector into one integer, sum_r c_r 2^(width r), and
+applies the matrices as packed columns; ``dunkl`` in ``operators`` uses the
+same packing.  Over Q(kappa) it sums row by row.
 """
 
 from __future__ import annotations
@@ -286,19 +292,6 @@ class VectorPoly:
             key: c.numerator * (den // c.denominator) for key, c in self.terms.items()
         }
 
-    @staticmethod
-    def from_cleared(shape, terms, den: int) -> "VectorPoly":
-        """The polynomial terms / den; an integer term that den divides
-        stays an int."""
-        out = {}
-        for key, v in terms.items():
-            if isinstance(v, int):
-                q, r = divmod(v, den)
-                out[key] = Fraction(v, den) if r else q
-            else:
-                out[key] = v / den if den != 1 else v
-        return VectorPoly(shape, out)
-
     def map_coefficients(self, fn) -> "VectorPoly":
         return VectorPoly(self.shape, {k: fn(c) for k, c in self.terms.items()})
 
@@ -355,25 +348,132 @@ class VectorPoly:
         return VectorPoly(shape, terms)
 
 
+# ---------------------------------------------------------------------------
+# tableau vectors packed into one integer per exponent
+# ---------------------------------------------------------------------------
+
+
+def by_exponent(terms: dict) -> dict:
+    """Terms regrouped as exponent -> [(tableau, coefficient)]."""
+    out = {}
+    for (exp, tab), c in terms.items():
+        out.setdefault(exp, []).append((tab, c))
+    return out
+
+
+def column_norm(cols) -> int:
+    """The largest column 1-norm of an integer matrix given by columns."""
+    return max((sum(abs(c) for _, c in col) for col in cols), default=0)
+
+
+def packed_columns(cols, width: int, scale: int) -> list[int]:
+    """Each column of an integer matrix, times ``scale``, as the one integer
+    sum_r scale * c_r * 2^(width * r)."""
+    return [sum(scale * c << (width * row) for row, c in col) for col in cols]
+
+
+def packed_width(bound: int) -> int:
+    """The least width whose signed digits hold every integer of absolute
+    value at most ``bound``."""
+    return bound.bit_length() + 1
+
+
+def unpack(value: int, width: int, dim: int) -> list[tuple[int, int]]:
+    """The nonzero signed digits (r, d_r) of value = sum_r d_r 2^(width r),
+    each |d_r| < 2^(width - 1), for r < dim.  A ValueError when a residual
+    is left after dim digits: the digits overflowed the width."""
+    out = []
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    row = 0
+    while value:
+        if row == dim:
+            raise ValueError(f"packed value overflows {dim} digits of width {width}")
+        d = value & mask
+        if d >= half:
+            d -= 1 << width
+        if d:
+            out.append((row, d))
+        value = (value - d) >> width
+        row += 1
+    return out
+
+
+def from_packed(shape, acc: dict, width: int, den: int) -> VectorPoly:
+    """The polynomial with, at each exponent, the tableau vector unpacked
+    from acc[exp] and divided by den; a digit that den divides stays an
+    int."""
+    dim = tau_context(shape).dim
+    out = {}
+    for exp, value in acc.items():
+        for row, d in unpack(value, width, dim):
+            q, r = divmod(d, den)
+            out[exp, row] = Fraction(d, den) if r else q
+    return VectorPoly(shape, out)
+
+
+def _permutations(w, n: int) -> list[tuple[int, ...]]:
+    """w as a list of permutations: [w] for one permutation in one-line
+    form, else the permutations of the sequence w; a ValueError for any
+    that is not a permutation of 1..n."""
+    w = list(w)
+    perms = [tuple(w)] if w and isinstance(w[0], int) else [tuple(v) for v in w]
+    ident = list(range(1, n + 1))
+    for v in perms:
+        if sorted(v) != ident:
+            raise ValueError(f"{v} is not a permutation of 1..{n}")
+    return perms
+
+
 def group_action(w, p: VectorPoly) -> VectorPoly:
     """w(p)(x) = tau(w) p(xw); exponents permute as (w.exp)_i = exp_{w^{-1}(i)}.
 
-    The image accumulates over the integer matrix of w, with one division
-    per term at the end; rational coefficients are first cleared to
-    integers, so that for them the whole sum is integer arithmetic."""
-    cols, d = tau_context(p.shape).scaled_matrix(w)
+    ``w`` is one permutation in one-line form, or a sequence of them, which
+    acts by their sum in the group algebra (an empty sequence by zero).
+
+    Rational coefficients are cleared to integers over L, the matrices
+    enter as integers over d, the lcm of their denominators, and each
+    exponent's tableau vector becomes one packed integer: the image of a
+    basis tableau under d tau(v) is a packed column, so the image of an
+    exponent is one sum of coefficient-times-column products per
+    permutation v, and one division per term ends it.  RatFunc coefficients
+    take the row-wise sum over tau(v).
+
+    Digit width.  Let ||c||_1 be the sum of the absolute cleared
+    coefficients and A_v the largest column 1-norm of d tau(v).  A term of
+    coefficient c sends, through each v, |c| times a column 1-norm of
+    d tau(v) into the output digits, so every output digit is at most
+    ||c||_1 * sum_v A_v in absolute value, and the width holds that bound.
+    The packed sums are the digit vectors at 2^width, a Z-linear map, so
+    ``unpack`` recovers each digit exactly.
+    """
+    ctx = tau_context(p.shape)
+    perms = _permutations(w, p.n)
     cleared = p.cleared()
-    den, coeffs = (1, p.terms) if cleared is None else cleared
-    moved = {}
     acc = {}
-    for (exp, tab), c in coeffs.items():
-        new_exp = moved.get(exp)
-        if new_exp is None:
-            new_exp = moved[exp] = perm_apply_to_composition(w, exp)
-        for row, e in cols[tab]:
-            key = (new_exp, row)
-            acc[key] = acc.get(key, 0) + e * c
-    return VectorPoly.from_cleared(p.shape, acc, den * d)
+    if cleared is None:
+        for v in perms:
+            cols = ctx.matrix(v)
+            for (exp, tab), c in p.terms.items():
+                new_exp = perm_apply_to_composition(v, exp)
+                for row, e in cols[tab]:
+                    key = (new_exp, row)
+                    acc[key] = acc.get(key, 0) + e * c
+        return VectorPoly(p.shape, acc)
+    mats = [ctx.scaled_matrix(v) for v in perms]
+    d = lcm(*(dv for _, dv in mats))
+    den, coeffs = cleared
+    groups = by_exponent(coeffs)
+    norm = sum(map(abs, coeffs.values()))
+    width = packed_width(
+        norm * sum(d // dv * column_norm(cols) for cols, dv in mats)
+    )
+    for v, (cols, dv) in zip(perms, mats):
+        packed = packed_columns(cols, width, d // dv)
+        for exp, entries in groups.items():
+            key = perm_apply_to_composition(v, exp)
+            acc[key] = acc.get(key, 0) + sum(c * packed[tab] for tab, c in entries)
+    return from_packed(p.shape, acc, width, den * d)
 
 
 def leading_vector(alpha, tableau: Rsyt) -> VectorPoly:

@@ -14,7 +14,7 @@ from nsjack.operators import (
     uprime_column,
 )
 from nsjack.ratfunc import KAPPA, RatFunc
-from nsjack.vectorpoly import VectorPoly, group_action, tau_context
+from nsjack.vectorpoly import VectorPoly, group_action, tau_context, unpack
 
 from oracles import (
     cherednik_from_definition,
@@ -195,32 +195,55 @@ def test_uprime_column_matches_operator():
     assert tau_context((2, 2, 2, 2)).denominator == 1296
 
 
-def random_rational_poly(rng, shape, deg=2, nterms=6):
+def random_rational_poly(rng, shape, deg=2, nterms=6, wide=False):
     n = sum(shape)
     dim = len(enumerate_rsyt(shape))
     terms = {}
     for _ in range(nterms):
         exp = tuple(rng.randint(0, deg) for _ in range(n))
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        if wide:
+            top = 1 << 200
+            coeff = Fraction(rng.randint(-top, top), rng.randint(1, 1 << 64))
+        else:
+            coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
         if coeff:
             terms[(exp, rng.randrange(dim))] = coeff
     return VectorPoly(shape, terms)
 
 
 def test_integer_kernels_match_fraction_formulas():
-    # dunkl at a rational kappa, group_action and jucys_murphy clear
-    # denominators and work on integers; compare with Fraction arithmetic
+    # dunkl at a rational kappa, group_action and jucys_murphy pack each
+    # exponent's tableau vector into one integer; compare with Fraction
+    # arithmetic on small and on wide coefficients, and on the 1-dim (1^6)
     rng = random.Random(10)
-    for shape in [(2, 2), (3, 1, 1), (2, 2, 2, 2)]:
+    for shape in [(2, 2), (3, 1, 1), (2, 2, 2, 2), (1,) * 6]:
         n = sum(shape)
         for kappa0 in (Fraction(2, 7), Fraction(-1, 4), Fraction(3)):
-            for _ in range(3):
-                p = random_rational_poly(rng, shape)
+            for wide in (False, False, True):
+                p = random_rational_poly(rng, shape, wide=wide)
                 for i in range(1, n + 1):
                     assert dunkl(i, p, kappa0) == dunkl_fractions(i, p, kappa0)
                     assert jucys_murphy(i, p) == jucys_murphy_fractions(i, p)
                 w = tuple(rng.sample(range(1, n + 1), n))
                 assert group_action(w, p) == group_action_fractions(w, p)
+                # a list of permutations acts by its sum in the group algebra
+                ws = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+                ws.append(ws[0])
+                total = VectorPoly.zero(shape)
+                for v in ws:
+                    total = total + group_action_fractions(v, p)
+                assert group_action(ws, p) == total
+                assert group_action([], p).is_zero()
+
+
+def test_packed_decode_raises_on_overflow():
+    # three digits of width 8 fit; a fourth digit is a residual, and so is
+    # a top digit that spills over by its sign
+    assert unpack(5 - (3 << 8) + (127 << 16), 8, 3) == [(0, 5), (1, -3), (2, 127)]
+    for value in (1 << 24, 128 << 16, -(129 << 16)):
+        with pytest.raises(ValueError, match="overflows 3 digits"):
+            unpack(value, 8, 3)
+    assert unpack(-(128 << 16), 8, 3) == [(2, -128)]
 
 
 @pytest.mark.parametrize(

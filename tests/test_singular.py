@@ -150,6 +150,20 @@ def test_isotype_rejects_non_eigenfunctions():
     )
     with pytest.raises(NotIsotypic):
         isotype_of(p)
+    # the ratio at the first term is checked to be an integer first, then
+    # the whole image against p times it
+    q = VectorPoly(
+        (2, 1),
+        {((1, 0, 0), 0): Fraction(1), ((0, 1, 0), 0): Fraction(1)},
+    )
+    with pytest.raises(NotIsotypic, match="non-integer eigenvalue 1/2 at index 1"):
+        isotype_of(q)
+    r = VectorPoly(
+        (2, 2),
+        {((1, 0, 0, 0), 0): Fraction(1), ((0, 1, 0, 0), 0): Fraction(1)},
+    )
+    with pytest.raises(NotIsotypic, match="not an eigenfunction of the index-1"):
+        isotype_of(r)
 
 
 # -- uniqueness ----------------------------------------------------------------

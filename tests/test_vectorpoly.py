@@ -144,6 +144,17 @@ def test_group_action_monomial_examples():
     assert moved.degree() == 1
 
 
+def test_group_action_rejects_non_permutations():
+    # a repeated entry, an entry outside 1..n, one variable too many and
+    # too few: each is a ValueError, not a wrong polynomial or an IndexError
+    p = VectorPoly.monomial((2, 2), (1, 0, 2, 0), 0, Fraction(1))
+    for w in [(1, 1, 3, 4), (0, 1, 2, 3), (2, 1, 3, 4, 5), (2, 1)]:
+        with pytest.raises(ValueError, match="not a permutation of 1..4"):
+            group_action(w, p)
+        with pytest.raises(ValueError, match="not a permutation of 1..4"):
+            group_action([(1, 2, 3, 4), w], p)
+
+
 def test_arithmetic_and_shape_guards():
     shape = (2, 2)
     p = VectorPoly.monomial(shape, (0, 1, 0, 0), 1)
