@@ -52,11 +52,13 @@ def rank_permutation(alpha) -> tuple[int, ...]:
     identity exactly when alpha is already a partition.
     """
     alpha = tuple(alpha)
-    return tuple(
-        sum(1 for b in alpha if b > a)
-        + sum(1 for b in alpha[: i + 1] if b == a)
-        for i, a in enumerate(alpha)
-    )
+    # a stable sort by descending part puts i after the j with a_j > a_i and
+    # the j < i with a_j = a_i, so i's place in it is r(i)
+    order = sorted(range(len(alpha)), key=alpha.__getitem__, reverse=True)
+    r = [0] * len(alpha)
+    for place, i in enumerate(order, 1):
+        r[i] = place
+    return tuple(r)
 
 
 def sort_descending(alpha) -> tuple[int, ...]:

@@ -16,14 +16,16 @@ digits).  Only the diagonal of U'_i has a 1/kappa part, so a projection step
 is one fused multiply-add per diagonal entry and one ``b * u`` per other
 entry; a digit-width bound from the column 1-norms (each column's sum of
 |a| + |b|) makes the packing provably overflow-free.  The decode divides
-out the known linear denominators by trial division and needs no
-polynomial gcd.  The U'_i columns are integers over the shape's
-transposition denominator D (1296 for (2,2,2,2)), each built once, with its
-norm, into a ``ColumnTable``; a construction resolves them to the positions
-of its basis once per index.  A family's labels permute one partition and
-share their lower exponents, so ``family_context`` passes one table to all
-its constructions and drops it on return; a lone ``construct_jack`` builds
-its own.
+out the known linear denominators by trial division, needs no polynomial
+gcd and runs once per distinct packed coefficient.  The U'_i columns are
+integers over the shape's transposition denominator D (1296 for (2,2,2,2)),
+each built once, with its norm, into a ``ColumnTable`` of one shape and one
+degree.  Exponents are addressed by integer codes, their entries read as
+base |alpha| + 1 digits, so a column holds its entries as integer offsets
+and a construction resolves them to the positions of its basis once per
+index.  A family's labels permute one partition and share their lower
+exponents, so ``family_context`` passes one table to all its constructions
+and drops it on return; a lone ``construct_jack`` builds its own.
 """
 
 from __future__ import annotations
@@ -147,6 +149,28 @@ def _try_div_linear(poly: list[int], a: int, b: int) -> list[int] | None:
     return q
 
 
+def _decode(packed: int, width: int, denom_linears, denom_int: int) -> RatFunc:
+    """The coefficient packed / (denom_int * prod(a*nu + b)) of the
+    projection product, with nu = 1/kappa: the digits are divided by every
+    linear that divides them exactly, and the rest stay in the denominator."""
+    digits = _decode_digits(packed, width)
+    remaining = []
+    for a, b in denom_linears:
+        quotient = _try_div_linear(digits, a, b)
+        if quotient is None:
+            remaining.append((a, b))
+        else:
+            digits = quotient
+    den = [denom_int]
+    for a, b in remaining:
+        new = [0] * (len(den) + 1)
+        for t, c in enumerate(den):
+            new[t] += b * c
+            new[t + 1] += a * c
+        den = new
+    return _nu_fraction_to_ratfunc(digits, den)
+
+
 def _nu_fraction_to_ratfunc(num: list[int], den: list[int]) -> RatFunc:
     """num(nu)/den(nu) with nu = 1/kappa, as a canonical element of Q(kappa).
 
@@ -180,13 +204,29 @@ def _nu_fraction_to_ratfunc(num: list[int], den: list[int]) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
+def _exponent_code(exp, base: int) -> int:
+    """code(exp) = sum_t exp_t * base^(t-1), the exponent's base-``base``
+    digits read as one integer."""
+    code = 0
+    for e in reversed(exp):
+        code = code * base + e
+    return code
+
+
 def _jack_basis(alpha, dim: int):
     """Lower exponents, the basis [(exp, tableau)] and the position of each
-    basis key."""
+    basis vector by its key code(exp) * dim + tableau, in basis order, with
+    code in base |alpha| + 1 (see ``ColumnTable``)."""
     lower = compositions_strictly_below(alpha)
     exps = sorted(lower) + [tuple(alpha)]
     basis = [(exp, t) for exp in exps for t in range(dim)]
-    return lower, basis, {key: pos for pos, key in enumerate(basis)}
+    base = sum(alpha) + 1
+    position = {}
+    for exp in exps:
+        origin = _exponent_code(exp, base) * dim
+        for t in range(dim):
+            position[origin + t] = len(position)
+    return lower, basis, position
 
 
 def _projection_factors(alpha, tableau, lower, ctx):
@@ -212,31 +252,38 @@ def _projection_factors(alpha, tableau, lower, ctx):
 
 
 class ColumnTable:
-    """U'_i columns of one shape, each built by ``uprime_column`` on first
-    use and shared by every construction given the table.
+    """U'_i columns of one shape and one degree, each built by
+    ``uprime_column`` on first use and shared by every construction given
+    the table.
 
-    A column is a tuple (norm, a, b, keys, bs): the diagonal entry
+    A column is a tuple (norm, a, b, offsets, bs): the diagonal entry
     (a / kappa + b) / D at the column's own (exp, tab), the other entries
-    bs[t] / D at keys[t] = (exp, row) (only the diagonal carries a 1/kappa
-    part) and norm, the column's sum of |a| + |b|.  Keys are interned so
-    that the columns of many labels hold one copy of each.
+    bs[t] / D at the basis vector whose key is code(exp) * dim + offsets[t]
+    (only the diagonal carries a 1/kappa part) and norm, the column's sum of
+    |a| + |b|.  The key of a basis vector (e, row) is code(e) * dim + row,
+    with code(e) = sum_t e_t * B^(t-1), B = degree + 1 and dim the number
+    of tableaux.
+
+    Keys are injective.  ``construct_jack`` rejects a label of another
+    degree, so the label, every exponent below it and every target of a
+    column (``uprime_column``) have the table's degree, and their entries
+    lie in 0..degree = 0..B-1.  Those entries are the base-B digits of the
+    code, so the code determines the exponent; the row, 0 <= row < dim, is
+    the key mod dim and the code the key div dim.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape, degree: int):
         self.ctx = tau_context(tuple(shape))
+        self.degree = degree
         self._columns: dict[tuple, tuple] = {}
-        self._keys: dict[tuple, tuple] = {}
 
     def column(self, i: int, exp, tab: int) -> tuple:
         key = (i, exp, tab)
         col = self._columns.get(key)
         if col is None:
-            entries = uprime_column(i, exp, tab, self.ctx)
-            a, b = entries.pop((exp, tab), (0, 0))
-            keys = tuple(map(self._keys.setdefault, entries, entries))
-            bs = tuple([c for _, c in entries.values()])
+            a, b, offsets, bs = uprime_column(i, exp, tab, self.ctx, self.degree + 1)
             norm = abs(a) + abs(b) + sum(map(abs, bs))
-            col = self._columns[key] = (norm, a, b, keys, bs)
+            col = self._columns[key] = (norm, a, b, tuple(offsets), tuple(bs))
         return col
 
 
@@ -250,7 +297,7 @@ def construct_jack(
     every i (asserted by the test suite against independent solves).
 
     ``columns`` shares U'_i columns with other constructions of the same
-    shape.
+    shape and degree; a table of another shape or degree is a ValueError.
     """
     alpha = tuple(alpha)
     if len(alpha) != tableau.n:
@@ -258,9 +305,13 @@ def construct_jack(
     if any(a < 0 for a in alpha):
         raise ValueError("exponents must be nonnegative")
     if columns is None:
-        columns = ColumnTable(tableau.shape)
+        columns = ColumnTable(tableau.shape, sum(alpha))
     elif columns.ctx.shape != tableau.shape:
         raise ValueError(f"column table for shape {columns.ctx.shape}")
+    elif columns.degree != sum(alpha):
+        raise ValueError(
+            f"column table for degree {columns.degree}, label of degree {sum(alpha)}"
+        )
     return _construct(alpha, tableau, columns)
 
 
@@ -285,6 +336,18 @@ def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
     adds 16 bits and one bit per factor of slack and is at least 64, so
     every digit lies strictly inside the signed range and
     ``_decode_digits`` recovers it exactly.
+
+    Addressing.  Each basis vector (exp, row) has the integer key
+    code(exp) * dim + row of ``ColumnTable``, which is injective on the
+    label's degree; a column entry's key is its column's key minus the
+    column's row plus the entry's offset.  A key with no basis position is
+    an image outside the basis, and the construction stops with an
+    AssertionError.
+
+    Decode.  Width, ``denom_linears`` and ``denom_int`` are fixed for the
+    call and RatFunc is immutable, so the coefficient is a function of its
+    packed integer alone; a dict that lives for the call decodes each
+    distinct integer once and shares the result among its basis vectors.
     """
     ctx = columns.ctx
     start = leading_vector(alpha, tableau)
@@ -302,23 +365,25 @@ def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
     matrices = {}
     for i in sorted({i for i, _ in factors}):
         amp, diag_a, diag_b, offdiag = 0, [], [], []
-        for exp, tab in basis:
-            norm, a, b, keys, bs = columns.column(i, exp, tab)
+        for (exp, tab), key in zip(basis, position):
+            norm, a, b, offsets, bs = columns.column(i, exp, tab)
             if norm > amp:
                 amp = norm
             diag_a.append(a)
             diag_b.append(b)
+            origin = key - tab
             try:
-                offdiag.append((list(map(position.__getitem__, keys)), bs))
+                offdiag.append(([position[origin + o] for o in offsets], bs))
             except KeyError:
                 raise AssertionError("projection basis is not invariant") from None
         matrices[i] = (amp, diag_a, diag_b, offdiag)
 
     # integer starting vector (constant digits)
     d0, start_ints = start.map_coefficients(RatFunc.as_fraction).cleared()
+    base = columns.degree + 1
     vec = [0] * len(basis)
     for (exp, tab), v in start_ints.items():
-        vec[position[exp, tab]] = v
+        vec[position[_exponent_code(exp, base) * ctx.dim + tab]] = v
 
     # provably sufficient digit width for the whole product (see above)
     bits = sum(map(abs, start_ints.values())).bit_length() + 16
@@ -359,26 +424,16 @@ def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
                     out[pos] += c * u
         vec = out
 
+    # one decode per distinct packed value (see "Decode" above)
+    decoded = {}
     terms = {}
     for pos, packed in enumerate(vec):
         if not packed:
             continue
-        digits = _decode_digits(packed, width)
-        remaining = []
-        for a, b in denom_linears:
-            quotient = _try_div_linear(digits, a, b)
-            if quotient is None:
-                remaining.append((a, b))
-            else:
-                digits = quotient
-        den = [denom_int]
-        for a, b in remaining:
-            new = [0] * (len(den) + 1)
-            for t, c in enumerate(den):
-                new[t] += b * c
-                new[t + 1] += a * c
-            den = new
-        terms[basis[pos]] = _nu_fraction_to_ratfunc(digits, den)
+        coeff = decoded.get(packed)
+        if coeff is None:
+            coeff = decoded[packed] = _decode(packed, width, denom_linears, denom_int)
+        terms[basis[pos]] = coeff
 
     poly = VectorPoly(tableau.shape, terms)
     if poly.tableau_component(alpha) != start.tableau_component(alpha):

@@ -19,9 +19,9 @@ term ends it.  Over Q(kappa) the same sums run row by row.  The generic
 eigen equations are checked on the rational path too:
 ``jack.verify_eigen_equations`` runs ``cherednik_prime`` at one integer
 Kronecker point on cleared numerators.  ``uprime_column`` builds U'_i
-columns on the same integer scale for the projection constructor; the
-operators above do not use it, so the eigen check stays independent of the
-constructor.
+columns on the same integer scale for the projection constructor, with rows
+addressed by integer exponent codes; the operators above do not use it, so
+the eigen check stays independent of the constructor.
 """
 
 from __future__ import annotations
@@ -190,49 +190,62 @@ def cherednik_prime(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
 # ---------------------------------------------------------------------------
 
 
-def uprime_column(i: int, exp, tab: int, ctx) -> dict:
+def uprime_column(i: int, exp, tab: int, ctx, base: int) -> tuple:
     """Column of the modified Cherednik-Dunkl operator on one basis monomial,
-    times the shape's transposition denominator D = ``ctx.denominator``.
+    times the shape's transposition denominator D = ``ctx.denominator``, with
+    its rows addressed by integer exponent codes.
 
-    Entries are integer pairs (a, b) meaning (a * (1/kappa) + b) / D; only
-    the diagonal carries a 1/kappa part.  For j != i, with p = exp_i and
-    q = exp_j, x_i times the divided difference is the sum of the monomials
-    of exp with (exp_i, exp_j) replaced by (v, p + q - v), with sign +1 for
-    v in q+1..p when q < p and sign -1 for v in p+1..q when q > p.  The
-    Jucys-Murphy swap (j > i) is the same replacement at v = q with sign +1:
-    it fixes exp when q = p, adds the term v = q when q < p and cancels it
-    when q > p.  The term v = p is exp itself; every other monomial differs
-    from exp at exactly the positions i and j, so no two pairs (j, v) meet
-    and only the rows at exp accumulate.  All images stay within the order
-    ideal of the leading exponent.
+    Returns (a, b, offsets, bs): the diagonal entry (a * (1/kappa) + b) / D
+    at (exp, tab) and the other entries bs[t] / D, the one at (target, row)
+    stored at offsets[t] = (code(target) - code(exp)) * dim + row, with
+    code(e) = sum_t e_t * base^(t-1) and dim = ``ctx.dim``.  Only the
+    diagonal carries a 1/kappa part.
+
+    For j != i, with p = exp_i and q = exp_j, x_i times the divided
+    difference is the sum of the monomials of exp with (exp_i, exp_j)
+    replaced by (v, p + q - v), with sign +1 for v in q+1..p when q < p and
+    sign -1 for v in p+1..q when q > p.  The Jucys-Murphy swap (j > i) is
+    the same replacement at v = q with sign +1: it fixes exp when q = p,
+    adds the term v = q when q < p and cancels it when q > p.  The term
+    v = p is exp itself; every other monomial differs from exp at exactly
+    the positions i and j, so no two pairs (j, v) meet and only the rows at
+    exp accumulate.  All images stay within the order ideal of the leading
+    exponent.
+
+    Codes.  A replacement keeps the degree of exp and leaves entries in
+    0..p + q, so when base exceeds the degree of exp, a target's entries
+    are the digits of its code in base ``base`` and the code determines
+    the target.  The replacement changes the code by
+    (v - p) * (base^(i-1) - base^(j-1)), so the offsets of one row over a
+    run of v are a ``range`` with that step times dim.
     """
     e = exp[i - 1]
-    col = {}
+    dim = ctx.dim
+    unit = base ** (i - 1) * dim
+    offsets, bs = [], []
     at_exp = {}
-    moved = list(exp)
-    for j in range(1, len(exp) + 1):
-        if j == i:
-            continue
-        tcol = ctx.scaled_transposition(i, j)[tab]
-        q = exp[j - 1]
-        if q < e or (q == e and j > i):
+    for j, (q, tcols) in enumerate(zip(exp, ctx.scaled_transpositions(i)), 1):
+        if tcols is None or (q == e and j < i):
+            continue  # j = i, or no divided difference and no swap
+        tcol = tcols[tab]
+        if q <= e:
             # the telescoped term at exp itself, or the swap fixing exp
             for row, c in tcol:
                 at_exp[row] = at_exp.get(row, 0) + c
         # the terms v != p; for j > i the swap adds (q < p) or cancels v = q
         if q < e:
-            values, sign = range(q + (j < i), e), 1
+            lo, hi, sign = q + (j < i), e, 1
         else:
-            values, sign = range(e + 1, q + (j < i)), -1
-        for v in values:
-            moved[i - 1], moved[j - 1] = v, e + q - v
-            key_exp = tuple(moved)
+            lo, hi, sign = e + 1, q + (j < i), -1
+        if lo < hi:
+            step = unit - base ** (j - 1) * dim
+            start, stop = (lo - e) * step, (hi - e) * step
             for row, c in tcol:
-                col[(key_exp, row)] = (0, sign * c)
-        moved[i - 1], moved[j - 1] = e, q
-    for row, b in at_exp.items():
-        if b:
-            col[(exp, row)] = (0, b)
-    if e:
-        col[(exp, tab)] = (e * ctx.denominator, at_exp.get(tab, 0))
-    return col
+                offsets += range(start + row, stop + row, step)
+                bs += [sign * c] * (hi - lo)
+    b = at_exp.pop(tab, 0)
+    for row, c in at_exp.items():
+        if c:
+            offsets.append(row)
+            bs.append(c)
+    return e * ctx.denominator, b, offsets, bs

@@ -208,23 +208,23 @@ def _family_context(m: int, k: int, n: int) -> FamilyContext:
     if n < 1 or gcd(n, m + 2) != 1:
         raise BadParams(f"need n >= 1 coprime to m+2, got n={n}")
     kappa0 = Fraction(n, m + 2)
+    pairs = [brick_map(source, m) for source in enumerate_rsyt((m * k, m * k))]
     # every label permutes one partition: the members share their U'_i columns
-    columns = ColumnTable((m,) * (2 * k))
+    columns = ColumnTable((m,) * (2 * k), n * sum(pairs[0].beta))
     members = []
-    for source in enumerate_rsyt((m * k, m * k)):
-        pair = brick_map(source, m)
+    for pair in pairs:
         label = tuple(n * b for b in pair.beta)
         jack = construct_jack(label, pair.tableau, columns)
         spec = specialize(jack, kappa0)
         members.append(
             FamilyMember(
-                source=source,
+                source=pair.source,
                 pair=pair,
                 label=label,
                 jack=jack,
                 specialized=spec,
                 gamma=gamma_factor(pair),
-                source_norm_squared=tableau_norm_squared(source),
+                source_norm_squared=tableau_norm_squared(pair.source),
             )
         )
     return FamilyContext(m, k, n, kappa0, tuple(members))

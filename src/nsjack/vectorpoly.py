@@ -66,6 +66,7 @@ class TauContext:
         self._words: dict[tuple, Matrix] = {}
         self._scaled: dict[tuple, tuple[tuple, int]] = {}
         self._scaled_transpositions: dict[tuple[int, int], tuple] = {}
+        self._scaled_rows: dict[int, tuple] = {}
         self._denominator: int | None = None
 
     def index_of(self, tableau: Rsyt) -> int:
@@ -143,6 +144,17 @@ class TauContext:
                 tuple((row, c * f) for row, c in col) for col in cols
             )
         return self._scaled_transpositions[key]
+
+    def scaled_transpositions(self, i: int) -> tuple:
+        """``scaled_transposition(i, j)`` for j = 1..n in one tuple, with None
+        at j = i."""
+        row = self._scaled_rows.get(i)
+        if row is None:
+            row = self._scaled_rows[i] = tuple(
+                None if j == i else self.scaled_transposition(i, j)
+                for j in range(1, self.n + 1)
+            )
+        return row
 
 
 def _compose(m1: Matrix, m2: Matrix) -> Matrix:

@@ -41,6 +41,22 @@ def compositions_of_degree(degree, nvars):
     return sorted(set(out))
 
 
+def exponent_code(exp, base):
+    """sum_t exp_t * base^(t-1): the key the projection constructor gives an
+    exponent whose entries are below base."""
+    return sum(e * base**t for t, e in enumerate(exp))
+
+
+def exponent_of_code(code, base, nvars):
+    """The exponent with nvars entries in 0..base-1 and the given code."""
+    exp = []
+    for _ in range(nvars):
+        code, digit = divmod(code, base)
+        exp.append(digit)
+    assert code == 0, "code too large for nvars digits"
+    return tuple(exp)
+
+
 def nullspace(rows):
     """Basis of the right nullspace of a matrix of Fractions (list of rows)."""
     if not rows:

@@ -6,6 +6,8 @@ import pytest
 
 from nsjack.cli import main
 
+from oracles import exponent_code
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -302,9 +304,12 @@ def _annihilating_factor(monkeypatch, jack_module):
 
 def _foreign_column(monkeypatch, jack_module):
     foreign = (9, 0, 0, 0)  # below no label of the (1, 2) family
-    monkeypatch.setattr(
-        jack_module, "uprime_column", lambda i, exp, t, ctx: {(foreign, 0): (1, 0)}
-    )
+
+    def column(i, exp, tab, ctx, base):
+        offset = (exponent_code(foreign, base) - exponent_code(exp, base)) * ctx.dim
+        return 0, 0, [offset], [1]
+
+    monkeypatch.setattr(jack_module, "uprime_column", column)
     return "not invariant"
 
 

@@ -1,5 +1,7 @@
 """Combinatorial layer: orders, tableaux, reduction, bricks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +107,19 @@ def test_rank_sorts_descending(alpha):
     assert (r == tuple(range(1, len(alpha) + 1))) == (
         alpha == sort_descending(alpha)
     )
+
+
+def test_rank_permutation_matches_the_defining_count():
+    # r(i) = #{j: a_j > a_i} + #{j <= i: a_j = a_i}, counted directly, on
+    # seeded compositions with many ties (parts 0..3, up to 12 entries)
+    rng = random.Random(4)
+    for _ in range(500):
+        alpha = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 12)))
+        count = tuple(
+            sum(1 for b in alpha if b > a) + sum(1 for b in alpha[: i + 1] if b == a)
+            for i, a in enumerate(alpha)
+        )
+        assert rank_permutation(alpha) == count, alpha
 
 
 # -- composition order -------------------------------------------------------

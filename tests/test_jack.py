@@ -14,6 +14,7 @@ from nsjack.combinatorics import (
     layer_composition,
     brick_stack_target,
     max_inv_source,
+    rsyt_from_contents,
 )
 from nsjack.jack import (
     ColumnTable,
@@ -34,7 +35,7 @@ from nsjack.ratfunc import KAPPA, PoleAtKappa, RatFunc, clear_denominators
 from nsjack.singular import brick_map, family_context
 from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
 
-from oracles import eigensolve_jack, verify_eigen_equations_ratfunc
+from oracles import eigensolve_jack, exponent_code, verify_eigen_equations_ratfunc
 
 
 def naive_projection(alpha, tableau):
@@ -277,16 +278,26 @@ def test_b_value_never_degenerates_on_valid_labels():
 # ---------------------------------------------------------------------------
 
 
+def foreign_column(target):
+    """A forged ``uprime_column`` whose one entry sits at (target, 0)."""
+
+    def column(i, exp, tab, ctx, base):
+        offset = (exponent_code(target, base) - exponent_code(exp, base)) * ctx.dim
+        return 0, 0, [offset], [1]
+
+    return column
+
+
 def test_guard_basis_invariance(monkeypatch):
     import nsjack.jack as jack_module
 
     tab = Rsyt([[4, 3], [2, 1]])
-    foreign = (9, 0, 0, 0)  # not below the label (1, 1, 0, 0)
-    monkeypatch.setattr(
-        jack_module, "uprime_column", lambda i, exp, t, ctx: {(foreign, 0): (1, 0)}
-    )
-    with pytest.raises(AssertionError, match="not invariant"):
-        construct_jack((1, 1, 0, 0), tab, ColumnTable(tab.shape))
+    # neither is below the label (1, 1, 0, 0): one of another degree, one of
+    # the same degree above it
+    for foreign in [(9, 0, 0, 0), (2, 0, 0, 0)]:
+        monkeypatch.setattr(jack_module, "uprime_column", foreign_column(foreign))
+        with pytest.raises(AssertionError, match="not invariant"):
+            construct_jack((1, 1, 0, 0), tab, ColumnTable(tab.shape, 2))
 
 
 def test_guard_factor_annihilating_the_label(monkeypatch):
@@ -299,7 +310,7 @@ def test_guard_factor_annihilating_the_label(monkeypatch):
         jack_module, "_projection_factors", lambda *args: [(1, target[0])]
     )
     with pytest.raises(ZeroDenominator):
-        construct_jack(alpha, tab, ColumnTable(tab.shape))
+        construct_jack(alpha, tab, ColumnTable(tab.shape, 2))
 
 
 def test_guard_projection_keeps_the_leading_term(monkeypatch):
@@ -307,9 +318,11 @@ def test_guard_projection_keeps_the_leading_term(monkeypatch):
 
     # a zero U'_i turns every factor into the scalar -v / (zeta - v)
     tab = Rsyt([[4, 3], [2, 1]])
-    monkeypatch.setattr(jack_module, "uprime_column", lambda i, exp, t, ctx: {})
+    monkeypatch.setattr(
+        jack_module, "uprime_column", lambda i, exp, t, ctx, base: (0, 0, [], [])
+    )
     with pytest.raises(AssertionError, match="leading term"):
-        construct_jack((1, 1, 0, 0), tab, ColumnTable(tab.shape))
+        construct_jack((1, 1, 0, 0), tab, ColumnTable(tab.shape, 2))
 
 
 def test_guard_reflection_keeps_the_leading_term():
@@ -322,11 +335,26 @@ def test_guard_reflection_keeps_the_leading_term():
 
 def test_shared_column_table_gives_the_cached_result():
     tab = Rsyt([[4, 3], [2, 1]])
-    table = ColumnTable(tab.shape)
+    table = ColumnTable(tab.shape, 2)
     for alpha in [(1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0)]:
         assert construct_jack(alpha, tab, table) == construct_jack(alpha, tab)
     with pytest.raises(ValueError):
         construct_jack((1, 0, 0), Rsyt([[3, 2, 1]]), table)
+    # the table's codes are in base degree + 1 = 3: it takes labels of
+    # degree 2 only
+    for alpha in [(1, 0, 0, 0), (2, 1, 0, 0), (3, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="degree"):
+            construct_jack(alpha, tab, table)
+
+
+def test_labels_with_one_part_equal_to_the_degree_match_eigensolve():
+    # the largest entry, the degree, is the top digit of the exponent code
+    for alpha in [(3, 0, 0, 0), (0, 0, 0, 3), (0, 3, 0, 0)]:
+        for tab in enumerate_rsyt((2, 2)):
+            j = construct_jack(alpha, tab)
+            assert specialize(j, Fraction(19, 23)) == eigensolve_jack(
+                alpha, tab, Fraction(19, 23)
+            )
 
 
 def test_gcd_free_decode_gives_the_full_gcd_form():
@@ -340,6 +368,27 @@ def test_gcd_free_decode_gives_the_full_gcd_form():
         for coeff in jack.poly.terms.values():
             full = RatFunc(coeff.num, coeff.den)
             assert (coeff.num, coeff.den) == (full.num, full.den)
+
+
+def test_decode_runs_once_per_distinct_coefficient(monkeypatch):
+    import nsjack.jack as jack_module
+
+    calls = []
+    decode = jack_module._nu_fraction_to_ratfunc
+
+    def spy(num, den):
+        calls.append((tuple(num), tuple(den)))
+        return decode(num, den)
+
+    monkeypatch.setattr(jack_module, "_nu_fraction_to_ratfunc", spy)
+    # the top member of the (1, 3) family, as the benchmark constructs the
+    # (1, 4) one: label (2, 2, 1, 1, 0, 0) on the one-column tableau
+    jack = construct_jack((2, 2, 1, 1, 0, 0), rsyt_from_contents(range(-5, 1)))
+    values = set(jack.poly.terms.values())
+    assert len(calls) == len(set(calls)) == len(values) < len(jack.poly.terms)
+    for coeff in values:
+        full = RatFunc(coeff.num, coeff.den)
+        assert (coeff.num, coeff.den) == (full.num, full.den)
 
 
 # ---------------------------------------------------------------------------

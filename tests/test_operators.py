@@ -19,6 +19,8 @@ from nsjack.vectorpoly import VectorPoly, group_action, tau_context, unpack
 from oracles import (
     cherednik_from_definition,
     dunkl_fractions,
+    exponent_code,
+    exponent_of_code,
     group_action_fractions,
     is_singular_at,
     jucys_murphy_fractions,
@@ -163,7 +165,8 @@ def test_singularity_criterion_equivalence():
 def test_uprime_column_matches_operator():
     # integer matrix assembly, divided by the shape's transposition
     # denominator D, agrees with the generic operator on single monomials at
-    # every index; exponents from 0..4 give both ties and gaps above 1
+    # every index; exponents from 0..4 give both ties and gaps above 1, and
+    # the offsets decode back to (exp, row) in the smallest base, degree + 1
     rng = random.Random(9)
     ties = gaps = 0
     for shape in [(2, 2), (3, 1, 1), (2, 2, 2), (1,) * 8, (2, 2, 2, 2)]:
@@ -176,9 +179,18 @@ def test_uprime_column_matches_operator():
             gaps += any(abs(a - b) > 1 for a in exp for b in exp)
             tab = rng.randrange(ctx.dim)
             p = VectorPoly.monomial(shape, exp, tab)
+            base = sum(exp) + 1
+            origin = exponent_code(exp, base) * ctx.dim
             for i in range(1, n + 1):
-                col = uprime_column(i, exp, tab, ctx)
-                assert all(type(a) is int and type(b) is int for a, b in col.values())
+                a, b, offsets, bs = uprime_column(i, exp, tab, ctx, base)
+                assert len(offsets) == len(bs)
+                assert all(type(c) is int for c in (a, b, *offsets, *bs))
+                col = {(exp, tab): (a, b)}
+                for offset, c in zip(offsets, bs):
+                    code, row = divmod(origin + offset, ctx.dim)
+                    key = (exponent_of_code(code, base, n), row)
+                    assert key not in col and sum(key[0]) == sum(exp)
+                    col[key] = (0, c)
                 expected = cherednik_prime(i, p)
                 rebuilt = VectorPoly(
                     shape,
