@@ -609,10 +609,6 @@ def enumerate_one_swap_class(num_cols: int, j: int, n: int) -> tuple:
     return tuple(out)
 
 
-# permutations of {1..N} acting on tableaux via entry relabelling are not
-# needed; group actions on the module side live in vectorpoly.
-
-
 def catalan(n: int) -> int:
     num = 1
     for i in range(n):

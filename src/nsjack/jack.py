@@ -44,6 +44,7 @@ from .combinatorics import (
 from .operators import cherednik_prime, uprime_column
 from .ratfunc import PoleAtKappa, RatFunc, clear_denominators
 from .vectorpoly import VectorPoly, group_action, leading_vector, tau_context
+from .vectorpoly import kronecker_value, signed_digits
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -116,19 +117,6 @@ class JackPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _decode_digits(n: int, width: int) -> list[int]:
-    out = []
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    while n:
-        r = n & mask
-        if r >= half:
-            r -= 1 << width
-        out.append(r)
-        n = (n - r) >> width
-    return out
-
-
 def _try_div_linear(poly: list[int], a: int, b: int) -> list[int] | None:
     """Exact quotient of an integer polynomial by a*nu + b, or None."""
     if not poly:
@@ -153,7 +141,7 @@ def _decode(packed: int, width: int, denom_linears, denom_int: int) -> RatFunc:
     """The coefficient packed / (denom_int * prod(a*nu + b)) of the
     projection product, with nu = 1/kappa: the digits are divided by every
     linear that divides them exactly, and the rest stay in the denominator."""
-    digits = _decode_digits(packed, width)
+    digits = signed_digits(packed, width)
     remaining = []
     for a, b in denom_linears:
         quotient = _try_div_linear(digits, a, b)
@@ -335,7 +323,7 @@ def _construct(alpha, tableau: Rsyt, columns: ColumnTable) -> JackPolynomial:
     bits(|start|) + sum_f bits(amp_i + |D va| + |D vb|) bits.  The width
     adds 16 bits and one bit per factor of slack and is at least 64, so
     every digit lies strictly inside the signed range and
-    ``_decode_digits`` recovers it exactly.
+    ``signed_digits`` recovers it exactly.
 
     Addressing.  Each basis vector (exp, row) has the integer key
     code(exp) * dim + row of ``ColumnTable``, which is injective on the
@@ -489,10 +477,6 @@ class ReflectionResult:
     result: JackPolynomial
 
 
-class NotAnRsyt(ValueError):
-    """Entry swap would break the tableau conditions (eigenvector cases)."""
-
-
 def apply_simple_reflection(
     i: int, jack: JackPolynomial, verify: bool = True
 ) -> ReflectionResult:
@@ -614,9 +598,9 @@ def _kronecker_image(jack: JackPolynomial) -> tuple[int, VectorPoly]:
     entry = max(
         (
             abs(v)
-            for i in range(1, poly.n)
-            for j in range(i + 1, poly.n + 1)
-            for col in ctx.scaled_transposition(i, j)
+            for i in range(1, poly.n + 1)
+            for cols in filter(None, ctx.scaled_transpositions(i))
+            for col in cols
             for _, v in col
         ),
         default=0,
@@ -625,10 +609,5 @@ def _kronecker_image(jack: JackPolynomial) -> tuple[int, VectorPoly]:
         ctx.denominator * (top + spread) + 2 * (poly.n - 1) * entry * len(numerators)
     )
     width = bound.bit_length() + 1
-    terms = {}
-    for key, num in zip(poly.terms, numerators):
-        value = 0
-        for c in reversed(num):
-            value = (value << width) + c
-        terms[key] = value
-    return 1 << width, VectorPoly(jack.shape, terms)
+    values = (kronecker_value(num, width) for num in numerators)
+    return 1 << width, VectorPoly(jack.shape, dict(zip(poly.terms, values)))

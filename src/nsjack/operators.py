@@ -7,16 +7,17 @@ pass the matching ``kappa``.  Divided differences are evaluated by the closed
 telescoping formula for monomials, which is the exact quotient by
 ``x_i - x_j``.
 
-The seminormal matrices enter as integers over a common denominator.  At a
-rational kappa the Dunkl operator and the group action (so also the
-Jucys-Murphy elements, one group-algebra sum each) clear the input's
-denominators and pack each exponent's tableau vector into one integer
-(``vectorpoly.packed_columns``): a transposition's image of an exponent is
-one sum of coefficient-times-column products, and each monomial of a
-divided difference costs one integer addition.  A digit width proved from
-the input's 1-norm makes the packing overflow-free, and one division per
-term ends it.  Over Q(kappa) the same sums run row by row.  The generic
-eigen equations are checked on the rational path too:
+The seminormal matrices enter as integers over a common denominator.  The
+Dunkl operator and the group action (so also the Jucys-Murphy elements, one
+group-algebra sum each) clear the input's denominators and pack each
+exponent's tableau vector into one integer (``vectorpoly.packed_columns``):
+a transposition's image of an exponent is one sum of
+coefficient-times-column products, and each monomial of a divided
+difference costs one integer addition.  A digit width proved from the
+input's 1-norm makes the packing overflow-free, and one division per term
+ends it.  Over Q(kappa) the same kernels run once at the integer Kronecker
+point kappa = 2^w on the cleared numerators (``vectorpoly.over_q_kappa``).
+The generic eigen equations are checked on the rational path too:
 ``jack.verify_eigen_equations`` runs ``cherednik_prime`` at one integer
 Kronecker point on cleared numerators.  ``uprime_column`` builds U'_i
 columns on the same integer scale for the projection constructor, with rows
@@ -36,6 +37,7 @@ from .vectorpoly import (
     column_norm,
     from_packed,
     group_action,
+    over_q_kappa,
     packed_columns,
     packed_width,
     tau_context,
@@ -57,30 +59,16 @@ def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     monomial is the sum of the monomials of exp with (exp_i, exp_j) replaced
     by (v, e + q - 1 - v) for v in min(e, q)..max(e, q) - 1, with sign +1
     when q < e and -1 when q > e.  At a rational kappa = lam / mu the input
-    is cleared to integers over L and packed, the image is accumulated as
-    mu * D * L times its value over the integer transposition matrices
-    D tau(ij) (D = ``ctx.denominator``), and one division per term ends
-    it.  Over Q(kappa) the sum runs row by row over tau(ij).
-    """
-    _check_index(i, p)
-    ctx = tau_context(p.shape)
-    if kappa is None:
-        kappa = KAPPA
-    cleared = None if isinstance(kappa, RatFunc) else p.cleared()
-    if cleared is None:
-        return _dunkl_rows(i, p, kappa, ctx)
-    kappa = Fraction(kappa)
-    return _dunkl_packed(i, p, cleared, kappa.numerator, kappa.denominator, ctx)
-
-
-def _dunkl_packed(i, p, cleared, lam, mu, ctx) -> VectorPoly:
-    """The Dunkl image at kappa = lam / mu for cleared coefficients (L,
-    integer terms), with each exponent's tableau vector packed into one
-    integer.
-
-    The image of an exponent under D tau(ij), lam times the packed columns,
-    is formed once per j; each monomial of the divided difference then adds
-    it with its sign, and the derivative adds e mu D times the packed input.
+    is cleared to integers over L and each exponent's tableau vector packed
+    into one integer; the image is accumulated as mu * D * L times its value
+    over the integer transposition matrices D tau(ij) (D =
+    ``ctx.denominator``), and one division per term ends it.  The image of
+    an exponent under D tau(ij), lam times the packed columns, is formed
+    once per j, and each monomial of the divided difference adds it with its
+    sign.  Over Q(kappa) (``kappa`` None or ``KAPPA``) the same body runs at
+    the Kronecker point lam = K, mu = 1 (``over_q_kappa``), and so does a
+    rational kappa on RatFunc coefficients; any other RatFunc kappa is a
+    ValueError.
 
     Digit width.  Let ||c||_1 be the sum of the absolute cleared
     coefficients, deg the largest exponent in the input, and A_j the largest
@@ -89,70 +77,63 @@ def _dunkl_packed(i, p, cleared, lam, mu, ctx) -> VectorPoly:
     j != i, |c| |lam| times a column 1-norm of D tau(ij) into the digits of
     each of its |e - q| <= deg monomials.  So every output digit is at most
 
-        ||c||_1 * deg * (mu D + |lam| * sum_j A_j)
+        ||c||_1 * factor,  factor = deg * (mu D + |lam| * sum_j A_j)
 
     in absolute value, and the width holds that bound.  The packed integers
     are the digit vectors at 2^width, a Z-linear map, so ``unpack``
-    recovers each digit exactly.
+    recovers each digit exactly.  Over Q(kappa) the image of the cleared
+    numerators N is R = D E N + kappa D T N (E the derivative, T the
+    twisted divided differences), and lam = mu = 1 give the factor that
+    bounds its digits for ``over_q_kappa``.
     """
-    den, coeffs = cleared
-    groups = by_exponent(coeffs)
-    derivative = mu * ctx.denominator
-    tcols = {j: ctx.scaled_transposition(i, j) for j in range(1, p.n + 1) if j != i}
-    deg = max((max(exp) for exp in groups), default=0)
-    factor = deg * (derivative + abs(lam) * sum(map(column_norm, tcols.values())))
-    width = packed_width(sum(map(abs, coeffs.values())) * factor)
-    packed = {j: packed_columns(cols, width, lam) for j, cols in tcols.items()}
-    acc = {}
-    for exp, entries in groups.items():
-        e = exp[i - 1]
-        if e:
-            key = exp[: i - 1] + (e - 1,) + exp[i:]
-            vec = sum(c << (width * tab) for tab, c in entries)
-            acc[key] = acc.get(key, 0) + e * derivative * vec
-        moved = list(exp)
-        for j, cols in packed.items():
-            q = exp[j - 1]
-            if q == e:
-                continue
-            image = sum(c * cols[tab] for tab, c in entries)
-            if q > e:
-                image = -image
-            for v in range(min(e, q), max(e, q)):
-                moved[i - 1], moved[j - 1] = v, e + q - 1 - v
-                key = tuple(moved)
-                acc[key] = acc.get(key, 0) + image
-            moved[i - 1], moved[j - 1] = e, q
-    return from_packed(p.shape, acc, width, den * derivative)
+    _check_index(i, p)
+    ctx = tau_context(p.shape)
+    row = ctx.scaled_transpositions(i)
+    tcols = {j: cols for j, cols in enumerate(row, 1) if cols is not None}
+    spread = sum(map(column_norm, tcols.values()))
+    if kappa is None:
+        kappa = KAPPA
+    generic = isinstance(kappa, RatFunc)
+    if generic and kappa != KAPPA:
+        raise ValueError(f"kappa must be rational or KAPPA, not {kappa}")
+    lam, mu = (1, 1) if generic else Fraction(kappa).as_integer_ratio()
+    scale = mu * ctx.denominator
 
+    def factor(exps, at):
+        return max(map(max, exps), default=0) * (scale + abs(at) * spread)
 
-def _dunkl_rows(i, p, kappa, ctx) -> VectorPoly:
-    """The Dunkl image over Q(kappa), row by row over tau(ij)."""
-    tmats = {
-        j: ctx.matrix(transposition(p.n, i, j)) for j in range(1, p.n + 1) if j != i
-    }
-    acc = {}
-    for (exp, tab), c in p.terms.items():
-        e = exp[i - 1]
-        if e:
-            key = (exp[: i - 1] + (e - 1,) + exp[i:], tab)
-            acc[key] = acc.get(key, 0) + c * e
-        kc = kappa * c
-        moved = list(exp)
-        for j, mat in tmats.items():
-            q = exp[j - 1]
-            if q == e:
-                continue
-            sign = 1 if q < e else -1
-            col = mat[tab]
-            for v in range(min(e, q), max(e, q)):
-                moved[i - 1], moved[j - 1] = v, e + q - 1 - v
-                key_exp = tuple(moved)
-                for row, t in col:
-                    key = (key_exp, row)
-                    acc[key] = acc.get(key, 0) + kc * (sign * t)
-            moved[i - 1], moved[j - 1] = e, q
-    return VectorPoly(p.shape, acc)
+    def packed(cleared, point=None):
+        at = point if generic else lam
+        den, coeffs = cleared
+        groups = by_exponent(coeffs)
+        width = packed_width(sum(map(abs, coeffs.values())) * factor(groups, at))
+        columns = {j: packed_columns(cols, width, at) for j, cols in tcols.items()}
+        acc = {}
+        for exp, entries in groups.items():
+            e = exp[i - 1]
+            if e:
+                key = exp[: i - 1] + (e - 1,) + exp[i:]
+                vec = sum(c << (width * tab) for tab, c in entries)
+                acc[key] = acc.get(key, 0) + e * scale * vec
+            moved = list(exp)
+            for j, cols in columns.items():
+                q = exp[j - 1]
+                if q == e:
+                    continue
+                image = sum(c * cols[tab] for tab, c in entries)
+                if q > e:
+                    image = -image
+                for v in range(min(e, q), max(e, q)):
+                    moved[i - 1], moved[j - 1] = v, e + q - 1 - v
+                    key = tuple(moved)
+                    acc[key] = acc.get(key, 0) + image
+                moved[i - 1], moved[j - 1] = e, q
+        return from_packed(p.shape, acc, width, den * scale)
+
+    cleared = None if generic else p.cleared()
+    if cleared is None:
+        return over_q_kappa(p, scale, factor(p.monomial_support(), lam), packed)
+    return packed(cleared)
 
 
 def jucys_murphy(i: int, p: VectorPoly) -> VectorPoly:

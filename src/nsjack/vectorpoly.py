@@ -9,10 +9,12 @@ mixes the tableau with the one obtained by swapping the entries, weighted by
 the reciprocal content difference.
 
 ``group_action`` takes one permutation or a sequence of them, which acts by
-their sum in the group algebra.  At rational coefficients it packs each
-exponent's tableau vector into one integer, sum_r c_r 2^(width r), and
-applies the matrices as packed columns; ``dunkl`` in ``operators`` uses the
-same packing.  Over Q(kappa) it sums row by row.
+their sum in the group algebra.  It packs each exponent's tableau vector
+into one integer, sum_r c_r 2^(width r), and applies the matrices as packed
+columns; ``dunkl`` in ``operators`` uses the same packing.  Both run on
+rational coefficients; ``over_q_kappa`` lifts them to Q(kappa) by running
+them once at the Kronecker point kappa = 2^w on cleared numerators and
+reading each result back by its signed digits.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .combinatorics import (
     rsyt_index,
     transposition,
 )
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, clear_denominators
 
 
 class ShapeMismatch(ValueError):
@@ -52,8 +54,9 @@ class TauContext:
     simple-reflection matrices along a fixed word for ``w`` (any word yields
     the same matrix since the generators satisfy the braid relations).  The
     operator kernels use integer forms: ``scaled_matrix(w)`` over the lcm of
-    its denominators, and ``scaled_transposition(i, j)`` over ``denominator``,
-    the one D shared by all transpositions (1296 for (2,2,2,2)).
+    its denominators, and ``scaled_transpositions(i)``, the transpositions
+    (i j) over ``denominator``, the one D shared by all transpositions (1296
+    for (2,2,2,2)).
     """
 
     def __init__(self, shape):
@@ -65,7 +68,6 @@ class TauContext:
         self._simple: dict[int, Matrix] = {}
         self._words: dict[tuple, Matrix] = {}
         self._scaled: dict[tuple, tuple[tuple, int]] = {}
-        self._scaled_transpositions: dict[tuple[int, int], tuple] = {}
         self._scaled_rows: dict[int, tuple] = {}
         self._denominator: int | None = None
 
@@ -132,28 +134,20 @@ class TauContext:
             )
         return self._denominator
 
-    def scaled_transposition(self, i: int, j: int) -> tuple:
-        """Columns of D times the matrix of (i j), with integer entries."""
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in self._scaled_transpositions:
-            cols, d = self.scaled_matrix(transposition(self.n, i, j))
-            f = self.denominator // d
-            self._scaled_transpositions[key] = tuple(
-                tuple((row, c * f) for row, c in col) for col in cols
-            )
-        return self._scaled_transpositions[key]
-
     def scaled_transpositions(self, i: int) -> tuple:
-        """``scaled_transposition(i, j)`` for j = 1..n in one tuple, with None
-        at j = i."""
+        """For j = 1..n, the columns of D times the matrix of (i j), with
+        integer entries, in one tuple; None at j = i."""
         row = self._scaled_rows.get(i)
         if row is None:
-            row = self._scaled_rows[i] = tuple(
-                None if j == i else self.scaled_transposition(i, j)
-                for j in range(1, self.n + 1)
-            )
+            row = []
+            for j in range(1, self.n + 1):
+                if j == i:
+                    row.append(None)
+                    continue
+                cols, d = self.scaled_matrix(transposition(self.n, i, j))
+                f = self.denominator // d
+                row.append(tuple(tuple((r, c * f) for r, c in col) for col in cols))
+            row = self._scaled_rows[i] = tuple(row)
         return row
 
 
@@ -390,25 +384,38 @@ def packed_width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
+def signed_digits(value: int, width: int) -> list[int]:
+    """The unique digits d_r, -2^(width - 1) <= d_r < 2^(width - 1), with
+    value = sum_r d_r 2^(width r), lowest first; the last is nonzero."""
+    out = []
+    base = 1 << width
+    mask, half = base - 1, base >> 1
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= base
+        out.append(d)
+        value = (value - d) >> width
+    return out
+
+
+def kronecker_value(num, width: int) -> int:
+    """sum_t num[t] 2^(width t): the integer polynomial num (ascending
+    coefficients) at 2^width."""
+    value = 0
+    for c in reversed(num):
+        value = (value << width) + c
+    return value
+
+
 def unpack(value: int, width: int, dim: int) -> list[tuple[int, int]]:
     """The nonzero signed digits (r, d_r) of value = sum_r d_r 2^(width r),
     each |d_r| < 2^(width - 1), for r < dim.  A ValueError when a residual
     is left after dim digits: the digits overflowed the width."""
-    out = []
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    row = 0
-    while value:
-        if row == dim:
-            raise ValueError(f"packed value overflows {dim} digits of width {width}")
-        d = value & mask
-        if d >= half:
-            d -= 1 << width
-        if d:
-            out.append((row, d))
-        value = (value - d) >> width
-        row += 1
-    return out
+    digits = signed_digits(value, width)
+    if len(digits) > dim:
+        raise ValueError(f"packed value overflows {dim} digits of width {width}")
+    return [(row, d) for row, d in enumerate(digits) if d]
 
 
 def from_packed(shape, acc: dict, width: int, den: int) -> VectorPoly:
@@ -422,6 +429,44 @@ def from_packed(shape, acc: dict, width: int, den: int) -> VectorPoly:
             q, r = divmod(d, den)
             out[exp, row] = Fraction(d, den) if r else q
     return VectorPoly(shape, out)
+
+
+def over_q_kappa(p: VectorPoly, scale: int, factor: int, kernel) -> VectorPoly:
+    """The image of p over Q(kappa) under a packed kernel, from one run of
+    the kernel at the integer point kappa = K = 2^w; coefficients that are
+    not RatFunc are coerced to it.
+
+    ``kernel(cleared, K)`` maps cleared coefficients (L, integer terms c) to
+    S c / (L * scale), with S = S_0 + K S_1 for integer maps S_0 and S_1
+    free of kappa (S_1 = 0 but for the Dunkl operator over Q(kappa), which
+    runs at kappa = K), and every term of S_0 x + S_1 y is at most
+    max(||x||_1, ||y||_1) * factor in absolute value.
+
+    Proof.  Clearing once gives p = N / Q with N in Z[kappa].  Evaluation
+    at K is a ring map, so scale times the image of N(K) is R(K) for
+    R = S_0 N + kappa S_1 N in Z[kappa], and the image of p is
+    R / (scale * Q).  Let |N| be the sum of the absolute values of all
+    coefficients of N.  The kappa^t plane of R is S_0 N_t + S_1 N_(t-1),
+    so each of its terms R_t is at most |N| * factor in absolute value,
+    which w holds: |R_t| < K / 2, so the R_t are the signed base-K digits
+    of R(K) and ``signed_digits`` reads them back exactly.  Each
+    coefficient is reduced once; a result that scale does not clear is a
+    ValueError.
+    """
+    q, numerators = clear_denominators(
+        c if isinstance(c, RatFunc) else RatFunc.from_fraction(c)
+        for c in p.terms.values()
+    )
+    width = packed_width(sum(abs(c) for num in numerators for c in num) * factor)
+    point = {key: kronecker_value(num, width) for key, num in zip(p.terms, numerators)}
+    den = tuple(scale * c for c in q)
+    out = {}
+    for key, c in kernel((1, point), 1 << width).terms.items():
+        value = c * scale
+        if value.denominator != 1:
+            raise ValueError(f"scale {scale} does not clear the image {c}")
+        out[key] = RatFunc(signed_digits(value.numerator, width), den)
+    return VectorPoly(p.shape, out)
 
 
 def _permutations(w, n: int) -> list[tuple[int, ...]]:
@@ -448,44 +493,40 @@ def group_action(w, p: VectorPoly) -> VectorPoly:
     exponent's tableau vector becomes one packed integer: the image of a
     basis tableau under d tau(v) is a packed column, so the image of an
     exponent is one sum of coefficient-times-column products per
-    permutation v, and one division per term ends it.  RatFunc coefficients
-    take the row-wise sum over tau(v).
+    permutation v, and one division per term ends it.  Over Q(kappa) the
+    same body runs once at a Kronecker point (``over_q_kappa``, with
+    scale d and the factor below).
 
     Digit width.  Let ||c||_1 be the sum of the absolute cleared
     coefficients and A_v the largest column 1-norm of d tau(v).  A term of
     coefficient c sends, through each v, |c| times a column 1-norm of
     d tau(v) into the output digits, so every output digit is at most
-    ||c||_1 * sum_v A_v in absolute value, and the width holds that bound.
-    The packed sums are the digit vectors at 2^width, a Z-linear map, so
-    ``unpack`` recovers each digit exactly.
+    ||c||_1 * factor in absolute value, factor = sum_v A_v, and the width
+    holds that bound.  The packed sums are the digit vectors at 2^width, a
+    Z-linear map, so ``unpack`` recovers each digit exactly.
     """
     ctx = tau_context(p.shape)
     perms = _permutations(w, p.n)
-    cleared = p.cleared()
-    acc = {}
-    if cleared is None:
-        for v in perms:
-            cols = ctx.matrix(v)
-            for (exp, tab), c in p.terms.items():
-                new_exp = perm_apply_to_composition(v, exp)
-                for row, e in cols[tab]:
-                    key = (new_exp, row)
-                    acc[key] = acc.get(key, 0) + e * c
-        return VectorPoly(p.shape, acc)
     mats = [ctx.scaled_matrix(v) for v in perms]
     d = lcm(*(dv for _, dv in mats))
-    den, coeffs = cleared
-    groups = by_exponent(coeffs)
-    norm = sum(map(abs, coeffs.values()))
-    width = packed_width(
-        norm * sum(d // dv * column_norm(cols) for cols, dv in mats)
-    )
-    for v, (cols, dv) in zip(perms, mats):
-        packed = packed_columns(cols, width, d // dv)
-        for exp, entries in groups.items():
-            key = perm_apply_to_composition(v, exp)
-            acc[key] = acc.get(key, 0) + sum(c * packed[tab] for tab, c in entries)
-    return from_packed(p.shape, acc, width, den * d)
+    factor = sum(d // dv * column_norm(cols) for cols, dv in mats)
+
+    def packed(cleared, point=None):
+        den, coeffs = cleared
+        groups = by_exponent(coeffs)
+        width = packed_width(sum(map(abs, coeffs.values())) * factor)
+        acc = {}
+        for v, (cols, dv) in zip(perms, mats):
+            columns = packed_columns(cols, width, d // dv)
+            for exp, entries in groups.items():
+                key = perm_apply_to_composition(v, exp)
+                acc[key] = acc.get(key, 0) + sum(c * columns[tab] for tab, c in entries)
+        return from_packed(p.shape, acc, width, den * d)
+
+    cleared = p.cleared()
+    if cleared is None:
+        return over_q_kappa(p, d, factor, packed)
+    return packed(cleared)
 
 
 def leading_vector(alpha, tableau: Rsyt) -> VectorPoly:

@@ -10,8 +10,8 @@ from math import factorial
 from nsjack.combinatorics import enumerate_rsyt, transposition
 from nsjack.jack import spectral_vector_at
 from nsjack.operators import cherednik_prime, dunkl
-from nsjack.ratfunc import KAPPA
-from nsjack.vectorpoly import VectorPoly, group_action, leading_vector, tau_context
+from nsjack.ratfunc import KAPPA, RatFunc
+from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
 
 
 def hook_length_count(shape):
@@ -175,16 +175,17 @@ def eigensolve_jack(alpha, tableau, kappa0) -> VectorPoly:
 
 
 # ---------------------------------------------------------------------------
-# Fraction reference formulas for the integer operator kernels
+# reference formulas for the packed operator kernels, term by term over any
+# coefficient ring (int, Fraction or RatFunc, mixed)
 # ---------------------------------------------------------------------------
 
 
 def _add_term(acc, key, value):
-    acc[key] = acc.get(key, Fraction(0)) + value
+    acc[key] = acc.get(key, 0) + value
 
 
 def group_action_fractions(w, p):
-    """w(p) term by term in Fraction arithmetic: tau(w) on the tableau and
+    """w(p) term by term: tau(w) on the tableau and
     (w.exp)_i = exp_{w^{-1}(i)} on the exponent."""
     mat = tau_context(p.shape).matrix(tuple(w))
     acc = {}
@@ -193,30 +194,26 @@ def group_action_fractions(w, p):
         for i, a in enumerate(exp):
             new_exp[w[i] - 1] = a
         for row, c in mat[tab]:
-            _add_term(acc, (tuple(new_exp), row), Fraction(c) * Fraction(coeff))
+            _add_term(acc, (tuple(new_exp), row), c * coeff)
     return VectorPoly(p.shape, {k: v for k, v in acc.items() if v})
 
 
 def jucys_murphy_fractions(i, p):
-    """Sum over j > i of the transposition (i j), in Fraction arithmetic."""
+    """Sum over j > i of the transposition (i j), term by term."""
     acc = {}
     for j in range(i + 1, p.n + 1):
-        w = list(range(1, p.n + 1))
-        w[i - 1], w[j - 1] = j, i
-        for key, c in group_action_fractions(w, p).terms.items():
+        for key, c in group_action_fractions(transposition(p.n, i, j), p).terms.items():
             _add_term(acc, key, c)
     return VectorPoly(p.shape, {k: v for k, v in acc.items() if v})
 
 
-def dunkl_fractions(i, p, kappa0):
+def dunkl_fractions(i, p, kappa0=KAPPA):
     """D_i p = d/dx_i p + kappa0 * sum_{j != i} tau((i j)) applied to
     (p(x) - p(x (i j))) / (x_i - x_j), with each divided difference expanded
-    monomial by monomial."""
-    kappa0 = Fraction(kappa0)
+    monomial by monomial; kappa0 is rational or KAPPA."""
     ctx = tau_context(p.shape)
     acc = {}
     for (exp, tab), coeff in p.terms.items():
-        coeff = Fraction(coeff)
         if exp[i - 1]:
             d = list(exp)
             d[i - 1] -= 1
@@ -237,19 +234,21 @@ def dunkl_fractions(i, p, kappa0):
 
 
 # ---------------------------------------------------------------------------
-# operator identities and eigen equations in Q(kappa) arithmetic
+# operator identities and eigen equations in Q(kappa) arithmetic, on the
+# reference formulas above (no code shared with the packed kernels)
 # ---------------------------------------------------------------------------
 
 
-def cherednik_from_definition(i, p, kappa=None):
+def _unit(i, n):
+    return tuple(int(t == i - 1) for t in range(n))
+
+
+def cherednik_from_definition(i, p, kappa=KAPPA):
     """The defining expression D_i(x_i p) - kappa * sum_{j<i} (i,j) p; equals
     cherednik(i, p)."""
-    if kappa is None:
-        kappa = KAPPA
-    e_i = tuple(int(t == i - 1) for t in range(p.n))
-    out = dunkl(i, p.mul_monomial(e_i), kappa)
+    out = dunkl_fractions(i, p.mul_monomial(_unit(i, p.n)), kappa)
     for j in range(1, i):
-        out = out - group_action(transposition(p.n, i, j), p).scale(kappa)
+        out = out - group_action_fractions(transposition(p.n, i, j), p).scale(kappa)
     return out
 
 
@@ -263,11 +262,13 @@ def is_singular_at(p, kappa0, indices=None):
 
 
 def verify_eigen_equations_ratfunc(jack, indices=None):
-    """Assert U'_i J = zeta'(i) J over Q(kappa) for the given indices, by
-    applying the generic operator in RatFunc arithmetic and comparing
-    canonical forms."""
+    """Assert U'_i J = zeta'(i) J over Q(kappa) for the given indices, with
+    U'_i = (1/kappa) x_i D_i + omega_i applied term by term in RatFunc
+    arithmetic, comparing canonical forms."""
+    inv = RatFunc.kappa_inverse()
     for i in indices or range(1, len(jack.alpha) + 1):
-        lhs = cherednik_prime(i, jack.poly)
+        x_dunkl = dunkl_fractions(i, jack.poly).mul_monomial(_unit(i, jack.poly.n))
+        lhs = x_dunkl.scale(inv) + jucys_murphy_fractions(i, jack.poly)
         rhs = jack.poly.scale(jack.spectral[i - 1])
         if lhs != rhs:
             raise AssertionError(

@@ -6,7 +6,7 @@ import pytest
 
 from nsjack.cli import main
 
-from oracles import exponent_code
+from oracles import dunkl_fractions, exponent_code
 
 
 def run(capsys, *argv):
@@ -135,6 +135,29 @@ def test_apply_operator_cli(tmp_path, capsys):
     assert doc["result"] == [
         {"exp": [0, 0, 0, 0], "tableau": [0, 1, -1, 0], "coeff": {"num": ["1"], "den": ["1"]}}
     ]
+
+
+def test_apply_operator_over_q_kappa_on_a_family_member(tmp_path, capsys):
+    # without --kappa the operators act over Q(kappa): cherednik-prime gives
+    # the Jack polynomial times zeta'(i), dunkl the generic oracle's image
+    from nsjack.ratfunc import KAPPA
+    from nsjack.singular import family_context
+    from nsjack.vectorpoly import VectorPoly
+
+    jack = family_context(1, 2).members[0].jack
+    path = tmp_path / "jack.json"
+    doc = {"shape": list(jack.shape), "poly": jack.poly.to_json()}
+    path.write_text(json.dumps(doc))
+    for i in range(1, len(jack.alpha) + 1):
+        images = {}
+        for op in ("cherednik-prime", "dunkl"):
+            argv = ["--format", "json", "apply-operator", "--op", op]
+            code, out = run(capsys, *argv, "--index", str(i), "--input", str(path))
+            assert code == 0
+            result = json.loads(out)["result"]
+            images[op] = VectorPoly.from_json(result, shape=jack.shape)
+        assert images["cherednik-prime"] == jack.poly.scale(jack.spectral[i - 1])
+        assert images["dunkl"] == dunkl_fractions(i, jack.poly, KAPPA)
 
 
 def test_byte_identical_output(capsys):

@@ -223,29 +223,69 @@ def random_rational_poly(rng, shape, deg=2, nterms=6, wide=False):
     return VectorPoly(shape, terms)
 
 
+def random_generic_poly(rng, shape, deg=2, nterms=4, mixed=False):
+    """RatFunc coefficients with kappa-numerators up to 2^200 over small
+    denominators; with ``mixed``, about half the terms are Fractions."""
+    n = sum(shape)
+    dim = len(enumerate_rsyt(shape))
+    top = 1 << 200
+    terms = {}
+    for _ in range(nterms):
+        exp = tuple(rng.randint(0, deg) for _ in range(n))
+        if mixed and rng.random() < 0.5:
+            coeff = Fraction(rng.randint(-top, top), rng.randint(1, 12))
+        else:
+            num = [rng.randint(-top, top) for _ in range(rng.randint(1, 3))]
+            coeff = RatFunc(num, (rng.randint(1, 9), rng.randint(-4, 4)))
+        if coeff:
+            terms[(exp, rng.randrange(dim))] = coeff
+    return VectorPoly(shape, terms)
+
+
+def assert_kernels_match(rng, p, kappas):
+    n = p.n
+    for i in range(1, n + 1):
+        for kappa0 in kappas:
+            assert dunkl(i, p, kappa0) == dunkl_fractions(i, p, kappa0)
+        assert jucys_murphy(i, p) == jucys_murphy_fractions(i, p)
+    w = tuple(rng.sample(range(1, n + 1), n))
+    assert group_action(w, p) == group_action_fractions(w, p)
+    # a list of permutations acts by its sum in the group algebra
+    ws = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+    ws.append(ws[0])
+    total = VectorPoly.zero(p.shape)
+    for v in ws:
+        total = total + group_action_fractions(v, p)
+    assert group_action(ws, p) == total
+    assert group_action([], p).is_zero()
+
+
 def test_integer_kernels_match_fraction_formulas():
-    # dunkl at a rational kappa, group_action and jucys_murphy pack each
-    # exponent's tableau vector into one integer; compare with Fraction
-    # arithmetic on small and on wide coefficients, and on the 1-dim (1^6)
-    rng = random.Random(10)
+    # dunkl, group_action and jucys_murphy pack each exponent's tableau
+    # vector into one integer; compare with the term-by-term formulas of
+    # the oracles on small and on wide Fraction coefficients, and on the
+    # 1-dim (1^6)
+    rng, generic = random.Random(10), random.Random(11)
     for shape in [(2, 2), (3, 1, 1), (2, 2, 2, 2), (1,) * 6]:
         n = sum(shape)
         for kappa0 in (Fraction(2, 7), Fraction(-1, 4), Fraction(3)):
             for wide in (False, False, True):
                 p = random_rational_poly(rng, shape, wide=wide)
-                for i in range(1, n + 1):
-                    assert dunkl(i, p, kappa0) == dunkl_fractions(i, p, kappa0)
-                    assert jucys_murphy(i, p) == jucys_murphy_fractions(i, p)
-                w = tuple(rng.sample(range(1, n + 1), n))
-                assert group_action(w, p) == group_action_fractions(w, p)
-                # a list of permutations acts by its sum in the group algebra
-                ws = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
-                ws.append(ws[0])
-                total = VectorPoly.zero(shape)
-                for v in ws:
-                    total = total + group_action_fractions(v, p)
-                assert group_action(ws, p) == total
-                assert group_action([], p).is_zero()
+                assert_kernels_match(rng, p, [kappa0])
+        # over Q(kappa) the same kernels run once at a Kronecker point:
+        # generic and rational kappa on RatFunc coefficients with numerators
+        # up to 2^200, on mixed Fraction and RatFunc terms, and on the zero
+        # and a constant polynomial (degree 0, so factor 0)
+        constant = RatFunc([3, -(1 << 200)], [1, 5])
+        for p in (
+            random_generic_poly(generic, shape),
+            random_generic_poly(generic, shape, mixed=True),
+            VectorPoly.zero(shape),
+            VectorPoly.monomial(shape, (0,) * n, 0, constant),
+        ):
+            assert_kernels_match(generic, p, [KAPPA, Fraction(2, 7)])
+        with pytest.raises(ValueError, match="rational or KAPPA"):
+            dunkl(1, p, 2 * KAPPA)
 
 
 def test_packed_decode_raises_on_overflow():
