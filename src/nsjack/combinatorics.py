@@ -8,9 +8,9 @@ fillings with ``N..1`` strictly decreasing along rows and columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class NoSuchTableau(ValueError):
@@ -572,8 +572,7 @@ def _check_brick_params(m: int, k: int):
         raise BadShapeParams(f"need m >= 1 and k >= 2, got m={m}, k={k}")
 
 
-@dataclass(frozen=True)
-class DistinguishedTableaux:
+class DistinguishedTableaux(NamedTuple):
     source_max: Rsyt
     target_stack: Rsyt
     layers: tuple[int, ...]

@@ -30,10 +30,10 @@ and drops it on return; a lone ``construct_jack`` builds its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .combinatorics import (
     Rsyt,
@@ -41,10 +41,20 @@ from .combinatorics import (
     rank_permutation,
     transposition,
 )
-from .operators import cherednik_prime, uprime_column
+from .operators import cherednik_factor, cherednik_prime, uprime_column
 from .ratfunc import PoleAtKappa, RatFunc, clear_denominators
-from .vectorpoly import VectorPoly, group_action, leading_vector, tau_context
-from .vectorpoly import kronecker_value, signed_digits
+from .vectorpoly import (
+    VectorPoly,
+    group_action,
+    kronecker_value,
+    leading_vector,
+    pack,
+    packed_vector,
+    packed_width,
+    signed_digits,
+    tau_context,
+    top_exponent,
+)
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -97,8 +107,7 @@ def b_value(alpha, tableau: Rsyt, i: int) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JackPolynomial:
+class JackPolynomial(NamedTuple):
     alpha: tuple[int, ...]
     tableau: Rsyt
     poly: VectorPoly
@@ -469,8 +478,7 @@ class ReflectionCase(Enum):
     TABLEAU_LOWER = "tableau_lower"  # entry swap valid, reciprocal gap < 0
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
+class ReflectionResult(NamedTuple):
     case: ReflectionCase
     b: RatFunc
     scalar: RatFunc  # (s_i - b) J = scalar * J_new, or the eigenvalue
@@ -539,46 +547,93 @@ def _labelled(alpha, tableau, poly, verify: bool) -> JackPolynomial:
 def verify_eigen_equations(jack: JackPolynomial, indices=None):
     """Check U'_i J = zeta'(i) J over Q(kappa) for the given indices (all by
     default), with zeta'(i) = a / kappa + c from ``spectral_pairs``; raise
-    AssertionError naming the first index that fails.
+    AssertionError naming the first index that fails, and ValueError for an
+    index outside 1..n.
 
-    No arithmetic in Q(kappa) is done.  The coefficients of J are cleared
-    once: Q is the lcm of their distinct denominators and N = Q J has
-    coefficients in Z[kappa].  Each equation is then checked exactly at the
-    single integer point kappa = K = 2^w, by the rational-kappa operator
-    ``cherednik_prime(i, N(K), K)`` against N(K) scaled by a / K + c.
+    No arithmetic in Q(kappa) is done and no equation builds a polynomial.
+    The coefficients of J are cleared once: Q is the lcm of their distinct
+    denominators and N = Q J has coefficients in Z[kappa].  N is evaluated
+    once at the integer point kappa = K = 2^w (``_kronecker_image``),
+    grouped by exponent once (``vectorpoly.pack``), and each exponent's
+    tableau vector is packed once into one integer for the eigen term
+    (``vectorpoly.packed_vector``), at a width W shared by all the
+    equations.  Each equation is then one integer identity on
+    packed accumulators,
 
-    Soundness.  U'_i = (1/kappa) E + F with E = x_i d/dx_i and F the sum of
-    the seminormal transpositions tau(ij) composed with x_i times the divided
-    differences (j != i) and with the swaps s_ij (j > i); neither depends on
-    kappa.  U'_i is Q(kappa)-linear, so U'_i J = zeta'(i) J iff
-    U'_i N = zeta'(i) N.  Multiply the difference by kappa D, where
-    D = ``ctx.denominator`` makes T = D F an integer map:
+        x_i (D Dunkl_i N) + K (D / d) (d omega_i N) - D (a + c K) N = 0
+
+    at kappa = K, with D = ``ctx.denominator`` and d the denominator of the
+    Jucys-Murphy matrices; the first two terms are K D U'_i N, which
+    ``cherednik_prime`` on the packed operand returns unread (its two
+    kernels, ``operators.dunkl_kernel`` and ``vectorpoly.action_kernel``).
+    No U'_i column of the constructor (``uprime_column``) is used.
+
+    Soundness at K.  U'_i = (1/kappa) E + F with E = x_i d/dx_i and F the
+    sum of the seminormal transpositions tau(ij) composed with x_i times the
+    divided differences (j != i) and with the swaps s_ij (j > i); neither
+    depends on kappa.  U'_i is Q(kappa)-linear, so U'_i J = zeta'(i) J iff
+    U'_i N = zeta'(i) N.  Multiply the difference by kappa D, where T = D F
+    is an integer map:
 
         R = D E N + kappa T N - D (a + c kappa) N,
 
     a vector of integer polynomials in kappa (degree at most deg N + 1),
-    with K D (lhs - rhs) = R(K) for the lhs and rhs compared at K.  Let H
-    bound the coefficients of N, e the largest exponent, n the number of
-    variables, t the number of terms and M the largest entry of the integer
-    matrices D tau(ij).  E, a and c keep each key; a term of N reaches a
-    given key through T at most twice per j != i (one telescoped monomial,
-    one swap), each time with a factor of size at most M.  Hence every
-    coefficient r of R has
+    whose value at K is the left side above.  Let H bound the coefficients
+    of N, e the largest exponent, n the number of variables, t the number of
+    terms and M the largest entry of the integer matrices D tau(ij).  E, a
+    and c keep each key; a term of N reaches a given key through T at most
+    twice per j != i (one telescoped monomial, one swap), each time with a
+    factor of size at most M.  Hence every coefficient r of R has
 
         |r| <= B = H (D (e + |a| + |c|) + 2 (n - 1) M t).
 
     With w = bit_length(B) + 1, |r| < K / 2.  If R(K) = 0 but R != 0, take a
     key with R nonzero there and its lowest nonzero coefficient r_j: then
-    K divides r_j, against 0 < |r_j| < K.  So equal images at K prove R = 0,
-    the equation over Q(kappa).  The width comes from the data, so no fixed
+    K divides r_j, against 0 < |r_j| < K.  So R(K) = 0 proves R = 0, the
+    equation over Q(kappa).  The width comes from the data, so no fixed
     point can be fooled by a coefficient that vanishes there.
+
+    Soundness of the packing.  Packing is Z-linear, so the packed left side
+    at an exponent is sum_r R_r(K) 2^(W r) over the tableau rows r, exactly,
+    whatever the size of the R_r(K).  By the kernels' digit bounds every
+    R_r(K) is at most
+
+        ||N(K)||_1 * max_i (cherednik_factor(i, e, K, 1) + D (|a_i| + |c_i| K))
+
+    in absolute value (``operators.cherednik_factor``), ||N(K)||_1 the sum
+    of the absolute values of N(K); W = bit_length of that bound + 1 makes
+    |R_r(K)| < 2^(W - 1) for every index i at once.  If the packed value is
+    0 but some R_r(K) is not, the lowest such r gives 2^W | R_r(K), a
+    contradiction.  So the packed left side is 0 at every exponent iff
+    R(K) = 0.
     """
+    n = len(jack.alpha)
+    indices = tuple(indices or range(1, n + 1))
+    for i in indices:
+        if not 1 <= i <= n:
+            raise ValueError(f"operator index {i} outside 1..{n}")
     pairs = spectral_pairs(jack.alpha, jack.tableau)
-    point, packed = _kronecker_image(jack)
-    for i in indices or range(1, len(jack.alpha) + 1):
+    ctx = tau_context(jack.shape)
+    big_d = ctx.denominator
+    point, image = _kronecker_image(jack)
+    top = top_exponent(exp for exp, _ in image.terms)
+    factor = max(
+        cherednik_factor(ctx, i, top, point, 1)
+        + big_d * (abs(pairs[i - 1][0]) + abs(pairs[i - 1][1]) * point)
+        for i in indices
+    )
+    width = packed_width(sum(map(abs, image.terms.values())) * factor)
+    packed = pack(ctx, image.terms, width)
+    vectors = {
+        exp: packed_vector(entries, width) for exp, entries in packed.groups.items()
+    }
+    for i in indices:
         a, c = pairs[i - 1]
-        lhs = cherednik_prime(i, packed, point)
-        if lhs != packed.scale(Fraction(a, point) + c):
+        acc = cherednik_prime(i, packed, point)
+        eigen = big_d * (a + c * point)
+        for exp, vec in vectors.items():
+            acc[exp] = acc.get(exp, 0) - eigen * vec
+        if any(acc.values()):
             raise AssertionError(
                 f"eigen equation fails at index {i} for label "
                 f"({jack.alpha}, {jack.tableau.rows})"

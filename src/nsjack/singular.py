@@ -11,11 +11,11 @@ reverse, together with exhaustive uniqueness oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 import random
+from typing import NamedTuple
 
 from .combinatorics import (
     BadShapeParams,
@@ -71,8 +71,7 @@ class BrickIdentityViolation(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrickPair:
+class BrickPair(NamedTuple):
     """Label (beta, tableau) attached to a two-row source tableau: beta is a
     permutation of the layer composition and the stacked tableau satisfies
     (m+2) beta_i + content(r_beta(i)) = content(i, source) for every i."""
@@ -167,8 +166,7 @@ def gamma_factor(pair: BrickPair) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     source: Rsyt
     pair: BrickPair
     label: tuple[int, ...]  # n * beta
@@ -178,8 +176,7 @@ class FamilyMember:
     source_norm_squared: Fraction
 
 
-@dataclass(frozen=True)
-class FamilyContext:
+class FamilyContext(NamedTuple):
     m: int
     k: int
     n: int
@@ -230,8 +227,7 @@ def _family_context(m: int, k: int, n: int) -> FamilyContext:
     return FamilyContext(m, k, n, kappa0, tuple(members))
 
 
-@dataclass(frozen=True)
-class SingularCertificate:
+class SingularCertificate(NamedTuple):
     m: int
     k: int
     n: int
@@ -336,8 +332,7 @@ def isotype_of(p: VectorPoly) -> Rsyt:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     beta: tuple[int, ...]
     tableau: Rsyt
     kappa0: Fraction
@@ -396,8 +391,7 @@ def _swap(comp, i):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AlphaVariants:
+class AlphaVariants(NamedTuple):
     m: int
     k: int
     s: int
@@ -454,8 +448,7 @@ def alpha_variants(m: int, k: int, s: int) -> AlphaVariants:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairTableau:
+class PairTableau(NamedTuple):
     rows: tuple  # tuples of (entry, sorted-composition value) pairs
 
     def __str__(self):
@@ -493,8 +486,7 @@ def pair_tableau(beta, tableau) -> PairTableau:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(NamedTuple):
     m: int
     k: int
     table: dict  # source content vector -> (norm^2, gamma)
@@ -596,8 +588,7 @@ def random_source_polynomial(rng: random.Random, m: int, k: int, degree: int):
     return VectorPoly(sigma, {k_: v for k_, v in terms.items() if v})
 
 
-@dataclass(frozen=True)
-class MuCommutationReport:
+class MuCommutationReport(NamedTuple):
     m: int
     k: int
     degree: int
@@ -648,8 +639,7 @@ def mu_commutation_check(
     return MuCommutationReport(m, k, degree, trials, seed, checks)
 
 
-@dataclass(frozen=True)
-class ReverseMapReport:
+class ReverseMapReport(NamedTuple):
     m: int
     k: int
     kappa0: Fraction  # -1/(m+2)
@@ -721,8 +711,7 @@ def reverse_map_qT(m: int, k: int) -> ReverseMapReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     m: int
     k: int
     kappa0: Fraction
@@ -837,8 +826,7 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HookExampleReport:
+class HookExampleReport(NamedTuple):
     kappa0: Fraction
     spectral: tuple
     monomial_count: int

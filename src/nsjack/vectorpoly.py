@@ -9,12 +9,18 @@ mixes the tableau with the one obtained by swapping the entries, weighted by
 the reciprocal content difference.
 
 ``group_action`` takes one permutation or a sequence of them, which acts by
-their sum in the group algebra.  It packs each exponent's tableau vector
-into one integer, sum_r c_r 2^(width r), and applies the matrices as packed
-columns; ``dunkl`` in ``operators`` uses the same packing.  Both run on
-rational coefficients; ``over_q_kappa`` lifts them to Q(kappa) by running
-them once at the Kronecker point kappa = 2^w on cleared numerators and
-reading each result back by its signed digits.
+their sum in the group algebra.  Its kernel, ``action_kernel``, works on a
+``Packed`` operand: integer coefficients grouped by exponent, with a width
+at which a tableau vector packs into one integer, sum_r c_r 2^(width r).
+It applies the matrices as packed columns and adds the image to packed
+accumulators; ``group_action`` wraps it with a proved width and
+``from_packed``.  ``operators.dunkl_kernel`` uses the same packing, and
+``jack.verify_eigen_equations`` compares the two kernels' accumulators
+directly.  The kernels run on rational coefficients; ``over_q_kappa``
+lifts the operators to Q(kappa) by running them once at the Kronecker
+point kappa = 2^w on cleared numerators and reading each result back by
+its signed digits.  ``TauContext`` keeps the width-independent data: the
+integer matrices and their column 1-norms.
 """
 
 from __future__ import annotations
@@ -22,13 +28,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
+from typing import NamedTuple
 
 from .combinatorics import (
     Rsyt,
     descent_word,
     enumerate_rsyt,
     normalize_partition,
-    perm_apply_to_composition,
+    perm_inverse,
     rank_permutation,
     rsyt_index,
     transposition,
@@ -56,7 +64,8 @@ class TauContext:
     operator kernels use integer forms: ``scaled_matrix(w)`` over the lcm of
     its denominators, and ``scaled_transpositions(i)``, the transpositions
     (i j) over ``denominator``, the one D shared by all transpositions (1296
-    for (2,2,2,2)).
+    for (2,2,2,2)).  The kernels' digit bounds read the largest column
+    1-norms from ``scaled_norm(w)`` and ``spread(i)``, cached per shape.
     """
 
     def __init__(self, shape):
@@ -68,7 +77,9 @@ class TauContext:
         self._simple: dict[int, Matrix] = {}
         self._words: dict[tuple, Matrix] = {}
         self._scaled: dict[tuple, tuple[tuple, int]] = {}
+        self._norms: dict[tuple, int] = {}
         self._scaled_rows: dict[int, tuple] = {}
+        self._spreads: dict[int, int] = {}
         self._denominator: int | None = None
 
     def index_of(self, tableau: Rsyt) -> int:
@@ -121,6 +132,14 @@ class TauContext:
             self._scaled[w] = (cols, d)
         return self._scaled[w]
 
+    def scaled_norm(self, w) -> int:
+        """The largest column 1-norm of ``scaled_matrix(w)``."""
+        w = tuple(w)
+        norm = self._norms.get(w)
+        if norm is None:
+            norm = self._norms[w] = column_norm(self.scaled_matrix(w)[0])
+        return norm
+
     @property
     def denominator(self) -> int:
         """D, the least common denominator of all transposition matrices."""
@@ -149,6 +168,15 @@ class TauContext:
                 row.append(tuple(tuple((r, c * f) for r, c in col) for col in cols))
             row = self._scaled_rows[i] = tuple(row)
         return row
+
+    def spread(self, i: int) -> int:
+        """The sum over j != i of the largest column 1-norm of D tau(ij)."""
+        total = self._spreads.get(i)
+        if total is None:
+            total = self._spreads[i] = sum(
+                map(column_norm, filter(None, self.scaled_transpositions(i)))
+            )
+        return total
 
 
 def _compose(m1: Matrix, m2: Matrix) -> Matrix:
@@ -359,12 +387,29 @@ class VectorPoly:
 # ---------------------------------------------------------------------------
 
 
-def by_exponent(terms: dict) -> dict:
-    """Terms regrouped as exponent -> [(tableau, coefficient)]."""
-    out = {}
+class Packed(NamedTuple):
+    """Integer terms in the operators' packed form at one width: ``groups``
+    maps each exponent to its tableau entries [(r, c_r)], and ``used``
+    holds the tableaux that occur."""
+
+    ctx: TauContext
+    groups: dict
+    used: frozenset
+    width: int
+
+
+def pack(ctx: TauContext, terms: dict, width: int) -> Packed:
+    """Integer terms grouped by exponent once, for the kernels at width."""
+    groups = {}
     for (exp, tab), c in terms.items():
-        out.setdefault(exp, []).append((tab, c))
-    return out
+        groups.setdefault(exp, []).append((tab, c))
+    return Packed(ctx, groups, frozenset(tab for _, tab in terms), width)
+
+
+def packed_vector(entries, width: int) -> int:
+    """The tableau entries [(r, c_r)] of one exponent as the one integer
+    sum_r c_r 2^(width r)."""
+    return sum(c << (width * tab) for tab, c in entries)
 
 
 def column_norm(cols) -> int:
@@ -372,10 +417,10 @@ def column_norm(cols) -> int:
     return max((sum(abs(c) for _, c in col) for col in cols), default=0)
 
 
-def packed_columns(cols, width: int, scale: int) -> list[int]:
-    """Each column of an integer matrix, times ``scale``, as the one integer
-    sum_r scale * c_r * 2^(width * r)."""
-    return [sum(scale * c << (width * row) for row, c in col) for col in cols]
+def packed_columns(cols, width: int, scale: int, used) -> dict[int, int]:
+    """Column t of an integer matrix for each t in ``used``, times
+    ``scale``, as the one integer sum_r scale * c_r * 2^(width * r)."""
+    return {t: sum(scale * c << (width * row) for row, c in cols[t]) for t in used}
 
 
 def packed_width(bound: int) -> int:
@@ -469,6 +514,42 @@ def over_q_kappa(p: VectorPoly, scale: int, factor: int, kernel) -> VectorPoly:
     return VectorPoly(p.shape, out)
 
 
+def top_exponent(exps) -> int:
+    """The largest entry of any exponent."""
+    return max(map(max, exps), default=0)
+
+
+def apply_packed(p: VectorPoly, scale: int, factor, kernel, lam=1, generic=False):
+    """The image of p under an operator given by its packed kernel.
+
+    ``kernel(packed, at)`` returns fresh packed accumulators holding scale
+    times the image of the ``Packed`` operand, and ``factor(top, at)``
+    bounds their digit growth: every digit is at most ||c||_1 * factor in
+    absolute value, ||c||_1 the sum of the absolute input coefficients and
+    top the largest exponent.  Rational coefficients are cleared to
+    integers over L and packed at the width that holds this bound, the
+    kernel runs at ``at`` = lam, and one division by L * scale per term
+    ends it.  RatFunc coefficients, and every input when the operator is
+    taken at kappa itself (``generic``, the kernel then runs at the
+    Kronecker point ``at`` = K), go through ``over_q_kappa`` with the
+    factor at lam.
+    """
+    ctx = tau_context(p.shape)
+    top = top_exponent(exp for exp, _ in p.terms)
+
+    def packed(cleared, point=None):
+        at = point if generic else lam
+        den, coeffs = cleared
+        width = packed_width(sum(map(abs, coeffs.values())) * factor(top, at))
+        acc = kernel(pack(ctx, coeffs, width), at)
+        return from_packed(p.shape, acc, width, den * scale)
+
+    cleared = None if generic else p.cleared()
+    if cleared is None:
+        return over_q_kappa(p, scale, factor(top, lam), packed)
+    return packed(cleared)
+
+
 def _permutations(w, n: int) -> list[tuple[int, ...]]:
     """w as a list of permutations: [w] for one permutation in one-line
     form, else the permutations of the sequence w; a ValueError for any
@@ -482,58 +563,76 @@ def _permutations(w, n: int) -> list[tuple[int, ...]]:
     return perms
 
 
+def _mover(v):
+    """exp -> v . exp of ``perm_apply_to_composition`` as one itemgetter:
+    (v . exp)_t = exp_{v^{-1}(t)}."""
+    if len(v) < 2:
+        return tuple
+    return itemgetter(*(t - 1 for t in perm_inverse(v)))
+
+
+def action_factor(ctx: TauContext, perms, scale: int) -> int:
+    """sum_v (scale / d_v) A_v, A_v = ``ctx.scaled_norm(v)`` the largest
+    column 1-norm of d_v tau(v): ``action_kernel`` at ``scale`` sends a term
+    of coefficient c at most |c| times this into the output digits."""
+    return sum(scale // ctx.scaled_matrix(v)[1] * ctx.scaled_norm(v) for v in perms)
+
+
+def action_kernel(perms, p: Packed, scale: int, acc: dict) -> dict:
+    """Add scale * sum_v v(p) to the packed accumulators acc (exponent ->
+    sum_r d_r 2^(width r)) and return acc; each d_v of
+    ``ctx.scaled_matrix(v)`` must divide scale.
+
+    The image of a basis tableau under (scale / d_v) d_v tau(v) is one
+    packed column, so an exponent costs one sum of coefficient-times-column
+    products per permutation.  Packing is Z-linear, so acc[e] is the packed
+    digit vector of the image at e whatever the digits' size; only reading
+    the digits back needs them to fit the width (``action_factor``).
+    """
+    for v in perms:
+        cols, dv = p.ctx.scaled_matrix(v)
+        columns = packed_columns(cols, p.width, scale // dv, p.used)
+        move = _mover(v)
+        for exp, entries in p.groups.items():
+            key = move(exp)
+            acc[key] = acc.get(key, 0) + sum(c * columns[tab] for tab, c in entries)
+    return acc
+
+
 def group_action(w, p: VectorPoly) -> VectorPoly:
     """w(p)(x) = tau(w) p(xw); exponents permute as (w.exp)_i = exp_{w^{-1}(i)}.
 
     ``w`` is one permutation in one-line form, or a sequence of them, which
     acts by their sum in the group algebra (an empty sequence by zero).
 
-    Rational coefficients are cleared to integers over L, the matrices
-    enter as integers over d, the lcm of their denominators, and each
-    exponent's tableau vector becomes one packed integer: the image of a
-    basis tableau under d tau(v) is a packed column, so the image of an
-    exponent is one sum of coefficient-times-column products per
-    permutation v, and one division per term ends it.  Over Q(kappa) the
-    same body runs once at a Kronecker point (``over_q_kappa``, with
-    scale d and the factor below).
+    Rational coefficients are cleared to integers over L, and
+    ``action_kernel`` accumulates d times the image, d the lcm of the
+    matrices' denominators; one division per term ends it.  Over Q(kappa)
+    the same body runs once at a Kronecker point (``apply_packed``).
 
     Digit width.  Let ||c||_1 be the sum of the absolute cleared
-    coefficients and A_v the largest column 1-norm of d tau(v).  A term of
-    coefficient c sends, through each v, |c| times a column 1-norm of
-    d tau(v) into the output digits, so every output digit is at most
-    ||c||_1 * factor in absolute value, factor = sum_v A_v, and the width
-    holds that bound.  The packed sums are the digit vectors at 2^width, a
-    Z-linear map, so ``unpack`` recovers each digit exactly.
+    coefficients.  A term of coefficient c sends, through each v, |c| times
+    a column 1-norm of d tau(v) into the output digits, so every output
+    digit is at most ||c||_1 * factor in absolute value, factor =
+    ``action_factor(ctx, perms, d)``, and the width holds that bound.  The
+    packed sums are the digit vectors at 2^width, a Z-linear map, so
+    ``unpack`` recovers each digit exactly.
     """
     ctx = tau_context(p.shape)
     perms = _permutations(w, p.n)
-    mats = [ctx.scaled_matrix(v) for v in perms]
-    d = lcm(*(dv for _, dv in mats))
-    factor = sum(d // dv * column_norm(cols) for cols, dv in mats)
-
-    def packed(cleared, point=None):
-        den, coeffs = cleared
-        groups = by_exponent(coeffs)
-        width = packed_width(sum(map(abs, coeffs.values())) * factor)
-        acc = {}
-        for v, (cols, dv) in zip(perms, mats):
-            columns = packed_columns(cols, width, d // dv)
-            for exp, entries in groups.items():
-                key = perm_apply_to_composition(v, exp)
-                acc[key] = acc.get(key, 0) + sum(c * columns[tab] for tab, c in entries)
-        return from_packed(p.shape, acc, width, den * d)
-
-    cleared = p.cleared()
-    if cleared is None:
-        return over_q_kappa(p, d, factor, packed)
-    return packed(cleared)
+    d = lcm(*(ctx.scaled_matrix(v)[1] for v in perms))
+    factor = action_factor(ctx, perms, d)
+    return apply_packed(
+        p,
+        d,
+        lambda top, at: factor,
+        lambda packed, at: action_kernel(perms, packed, d, {}),
+    )
 
 
 def leading_vector(alpha, tableau: Rsyt) -> VectorPoly:
     """x^alpha tensored with tau(r_alpha^{-1}) applied to the tableau: the
     triangular leading term of the Jack polynomial labelled (alpha, T)."""
-    from .combinatorics import perm_inverse
-
     ctx = tau_context(tableau.shape)
     r_inv = perm_inverse(rank_permutation(alpha))
     col = ctx.matrix(r_inv)[ctx.index_of(tableau)]

@@ -289,15 +289,13 @@ def assert_failure_document(code, capsys, match):
 
 
 def test_norms_with_a_forged_gamma_exits_1(monkeypatch, capsys):
-    import dataclasses
-
     import nsjack.singular as singular_module
 
     fam = singular_module.family_context(1, 2)
     # members[1] is the lower source of the one permissible step
     members = list(fam.members)
-    members[1] = dataclasses.replace(members[1], gamma=2 * members[1].gamma)
-    forged = dataclasses.replace(fam, members=tuple(members))
+    members[1] = members[1]._replace(gamma=2 * members[1].gamma)
+    forged = fam._replace(members=tuple(members))
     monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
     code = main(["--format", "json", "norms", "--m", "1", "--k", "2"])
     assert_failure_document(code, capsys, "gamma recursion")

@@ -3,6 +3,7 @@ transformation rules, specialization."""
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -483,3 +484,134 @@ def test_eigen_check_honours_indices():
     assert eigen_verdicts(jack, (1, 4)) == (True, True)
     assert eigen_verdicts(jack, (2,)) == (False, False)
     assert eigen_verdicts(jack) == (False, False)
+
+
+def scaled(jack, key, factor=2):
+    """J with the coefficient at key multiplied by factor."""
+    terms = dict(jack.poly.terms)
+    terms[key] = terms[key] * factor
+    return forge(jack, VectorPoly(jack.shape, terms))
+
+
+def first_failing_index(check, jack):
+    """The least i whose equation ``check(jack, (i,))`` rejects, or None."""
+    for i in range(1, len(jack.alpha) + 1):
+        try:
+            check(jack, (i,))
+        except AssertionError:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("m, k, per_member", [(1, 2, None), (1, 3, 4), (2, 2, 2)])
+def test_eigen_check_rejects_a_scaled_coefficient_of_every_member(m, k, per_member):
+    # every coefficient of the (1, 2) members, and seeded ones and one at the
+    # label of each (1, 3) and (2, 2) member (tableau dimension 1, 1 and
+    # 14), doubled; the error
+    # names the first failing index, which the Q(kappa) oracle confirms on
+    # the (1, k) families
+    rng = random.Random(31)
+    for member in family_context(m, k).members:
+        jack = member.jack
+        keys = sorted(jack.poly.terms)
+        if per_member is not None:
+            lead = next(key for key in keys if key[0] == jack.alpha)
+            keys = rng.sample(keys, per_member - 1) + [lead]
+        for key in keys:
+            forged = scaled(jack, key)
+            index = first_failing_index(verify_eigen_equations, forged)
+            assert index is not None, key
+            if m == 1:
+                assert first_failing_index(verify_eigen_equations_ratfunc, forged) == index
+            with pytest.raises(AssertionError, match=f"fails at index {index} for"):
+                verify_eigen_equations(forged)
+
+
+def test_eigen_check_agrees_with_oracle_on_random_labels():
+    # honest and scaled Jack polynomials of random labels on shapes with
+    # tableau dimension 2, 3 and 5, index by index
+    rng = random.Random(32)
+    rejected = 0
+    for shape in [(2, 1), (2, 2), (2, 1, 1), (3, 2)]:
+        n = sum(shape)
+        tableaux = enumerate_rsyt(shape)
+        assert len(tableaux) > 1
+        for _ in range(3):
+            alpha = (0,) * n
+            while sum(alpha) in (0, 4) or sum(alpha) > 3:
+                alpha = tuple(rng.randint(0, 2) for _ in range(n))
+            jack = construct_jack(alpha, rng.choice(tableaux))
+            forged = scaled(jack, rng.choice(sorted(jack.poly.terms)), 3)
+            assert eigen_verdicts(jack) == (True, True)
+            for i in range(1, n + 1):
+                assert eigen_verdicts(jack, (i,)) == (True, True)
+                verdicts = eigen_verdicts(forged, (i,))
+                assert verdicts[0] == verdicts[1], (alpha, i)
+                rejected += not verdicts[0]
+    assert rejected > 40
+
+
+def test_eigen_check_on_index_subsets_of_a_sum():
+    # J + J' satisfies equation i exactly when the spectral entries i of the
+    # two labels agree; with those indices it passes, and the error names
+    # the first disagreeing index in the order given
+    shape = (2, 1, 1)
+    labels = [
+        (alpha, tab)
+        for alpha in sorted(set(permutations((1, 1, 0, 0))))
+        for tab in enumerate_rsyt(shape)
+    ]
+    checked = 0
+    for (a1, t1), (a2, t2) in combinations(labels, 2):
+        agree = [
+            i
+            for i, (z1, z2) in enumerate(
+                zip(spectral_pairs(a1, t1), spectral_pairs(a2, t2)), 1
+            )
+            if z1 == z2
+        ]
+        if not agree or len(agree) == 4:
+            continue
+        differ = [i for i in range(1, 5) if i not in agree]
+        first = construct_jack(a1, t1)
+        total = forge(first, first.poly + construct_jack(a2, t2).poly)
+        assert eigen_verdicts(total, tuple(agree)) == (True, True)
+        for order in (differ, differ[::-1]):
+            with pytest.raises(AssertionError, match=f"fails at index {order[0]} for"):
+                verify_eigen_equations(total, tuple(agree + order))
+        checked += 1
+    assert checked >= 3
+    for bad in (0, 5, -1):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            verify_eigen_equations(first, (1, bad))
+
+
+@pytest.mark.parametrize("m, k", [(1, 3), (2, 2)])
+def test_eigen_check_width_holds_every_digit(monkeypatch, m, k):
+    # the packed comparison is sound only when W holds every digit
+    # R_r(K) of the left side; recompute them at 4 W on a forged member
+    import nsjack.jack as jack_module
+    from nsjack.jack import _kronecker_image
+    from nsjack.vectorpoly import pack, packed_vector, signed_digits
+
+    widths = []
+    monkeypatch.setattr(
+        jack_module, "pack", lambda *args: widths.append(args[2]) or pack(*args)
+    )
+    jack = family_context(m, k).members[0].jack
+    forged = scaled(jack, next(key for key in jack.poly.terms if key[0] == jack.alpha))
+    with pytest.raises(AssertionError):
+        verify_eigen_equations(forged)
+    (width,) = widths
+    point, image = _kronecker_image(forged)
+    ctx = tau_context(jack.shape)
+    wide = pack(ctx, image.terms, 4 * width)
+    largest = 0
+    for i, (a, c) in enumerate(spectral_pairs(jack.alpha, jack.tableau), 1):
+        acc = cherednik_prime(i, wide, point)
+        for exp, entries in wide.groups.items():
+            vec = packed_vector(entries, 4 * width)
+            acc[exp] = acc.get(exp, 0) - ctx.denominator * (a + c * point) * vec
+        for value in acc.values():
+            largest = max([largest, *map(abs, signed_digits(value, 4 * width))])
+    assert 0 < largest < 1 << (width - 1)

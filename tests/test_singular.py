@@ -373,8 +373,6 @@ def test_family_context_cache_ignores_default_spelling():
 
 
 def test_perturbed_member_fails_the_dunkl_check(monkeypatch):
-    import dataclasses
-
     import nsjack.singular as singular_module
 
     fam = family_context(1, 2)
@@ -383,10 +381,8 @@ def test_perturbed_member_fails_the_dunkl_check(monkeypatch):
     key = next(k for k in member.specialized.terms if any(k[0]))
     terms = dict(member.specialized.terms)
     terms[key] += 1
-    forged = dataclasses.replace(
-        member, specialized=VectorPoly(member.specialized.shape, terms)
-    )
-    forged_fam = dataclasses.replace(fam, members=(forged,) + fam.members[1:])
+    forged = member._replace(specialized=VectorPoly(member.specialized.shape, terms))
+    forged_fam = fam._replace(members=(forged,) + fam.members[1:])
     monkeypatch.setattr(singular_module, "family_context", lambda *args: forged_fam)
     with pytest.raises(NonzeroDunklImage):
         singular_family(1, 2)
@@ -437,14 +433,12 @@ def test_gamma_guard_on_a_degenerate_pair():
 
 def forge_family(monkeypatch, field, value, member=1):
     """Serve family_context(1, 2) with one member's field replaced."""
-    import dataclasses
-
     import nsjack.singular as singular_module
 
     fam = family_context(1, 2)
     members = list(fam.members)
-    members[member] = dataclasses.replace(members[member], **{field: value})
-    forged = dataclasses.replace(fam, members=tuple(members))
+    members[member] = members[member]._replace(**{field: value})
+    forged = fam._replace(members=tuple(members))
     monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
 
 
@@ -474,10 +468,8 @@ def test_closure_rejects_a_forged_label(monkeypatch):
 
 
 def test_closure_rejects_a_member_outside_the_first_brick(monkeypatch):
-    import dataclasses
-
     honest = family_context(1, 2).members[1]
-    pair = dataclasses.replace(honest.pair, beta=(1, 0, 0, 1))
+    pair = honest.pair._replace(beta=(1, 0, 0, 1))
     forge_family(monkeypatch, "pair", pair)
     with pytest.raises(ClosureViolation, match="first brick"):
         closure_check(1, 2)
