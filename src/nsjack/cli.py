@@ -9,10 +9,10 @@ and operator indices out of range; these print one line on standard error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .combinatorics import (
     BadShapeParams,
@@ -38,6 +38,9 @@ from .singular import (
     uniqueness_oracle,
 )
 from .vectorpoly import VectorPoly
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _tableau_text(rows) -> str:
@@ -271,6 +274,10 @@ def _cmd_apply_operator(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse (and gettext with it) loads only when a parser is built, so
+    # importing nsjack.cli as a library does not pay for it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nsjack",
         description=(

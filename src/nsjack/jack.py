@@ -26,6 +26,10 @@ and a construction resolves them to the positions of its basis once per
 index.  A family's labels permute one partition and share their lower
 exponents, so ``family_context`` passes one table to all its constructions
 and drops it on return; a lone ``construct_jack`` builds its own.
+
+``verify_eigen_equations`` checks U'_i J = zeta'(i) J without those
+columns, by one pass of ``operators.cherednik_prime`` over (exponent, pair
+i < j) for all the indices at one integer Kronecker point.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .vectorpoly import (
     kronecker_value,
     leading_vector,
     pack,
-    packed_vector,
     packed_width,
     signed_digits,
     tau_context,
@@ -553,20 +556,23 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
     No arithmetic in Q(kappa) is done and no equation builds a polynomial.
     The coefficients of J are cleared once: Q is the lcm of their distinct
     denominators and N = Q J has coefficients in Z[kappa].  N is evaluated
-    once at the integer point kappa = K = 2^w (``_kronecker_image``),
-    grouped by exponent once (``vectorpoly.pack``), and each exponent's
-    tableau vector is packed once into one integer for the eigen term
-    (``vectorpoly.packed_vector``), at a width W shared by all the
-    equations.  Each equation is then one integer identity on
-    packed accumulators,
+    once at the integer point kappa = K = 2^w (``_kronecker_image``) and
+    grouped by exponent once (``vectorpoly.pack``), at a width W shared by
+    all the equations.  One pass of ``cherednik_prime`` on the packed
+    operand (``operators.cherednik_kernel``) then visits each (exponent,
+    pair i < j) once for all the indices: each exponent's tableau vector is
+    packed into one integer, its image under K D tau(ij) is formed once and
+    added to the divided differences of U'_i and U'_j and to the swap of
+    omega_i, and each index keeps its own packed accumulators, keyed by
+    injective exponent codes.  Equation i is the integer identity
 
-        x_i (D Dunkl_i N) + K (D / d) (d omega_i N) - D (a + c K) N = 0
+        x_i (D Dunkl_i N) + K D omega_i N - D (a + c K) N = 0
 
-    at kappa = K, with D = ``ctx.denominator`` and d the denominator of the
-    Jucys-Murphy matrices; the first two terms are K D U'_i N, which
-    ``cherednik_prime`` on the packed operand returns unread (its two
-    kernels, ``operators.dunkl_kernel`` and ``vectorpoly.action_kernel``).
-    No U'_i column of the constructor (``uprime_column``) is used.
+    at kappa = K on the accumulators of index i, with D =
+    ``ctx.denominator``; the first two terms are K D U'_i N.  The
+    accumulators hold the same integers as the sum of ``dunkl_kernel`` times
+    x_i and ``action_kernel`` on the swaps, so the bounds below hold as
+    stated.  No U'_i column of the constructor (``uprime_column``) is used.
 
     Soundness at K.  U'_i = (1/kappa) E + F with E = x_i d/dx_i and F the
     sum of the seminormal transpositions tau(ij) composed with x_i times the
@@ -624,15 +630,8 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
     )
     width = packed_width(sum(map(abs, image.terms.values())) * factor)
     packed = pack(ctx, image.terms, width)
-    vectors = {
-        exp: packed_vector(entries, width) for exp, entries in packed.groups.items()
-    }
-    for i in indices:
-        a, c = pairs[i - 1]
-        acc = cherednik_prime(i, packed, point)
-        eigen = big_d * (a + c * point)
-        for exp, vec in vectors.items():
-            acc[exp] = acc.get(exp, 0) - eigen * vec
+    residuals = cherednik_prime(indices, packed, point, pairs)
+    for i, acc in zip(indices, residuals):
         if any(acc.values()):
             raise AssertionError(
                 f"eigen equation fails at index {i} for label "

@@ -21,21 +21,26 @@ kernels with ``vectorpoly.apply_packed``: a digit width proved from the
 input's 1-norm makes the packing overflow-free, and one division per term
 ends it.  Over Q(kappa) the kernels run once at the integer Kronecker point
 kappa = 2^w on the cleared numerators (``vectorpoly.over_q_kappa``).
-``cherednik`` and ``cherednik_prime`` combine ``dunkl`` and
-``jucys_murphy`` images.
+On a ``VectorPoly``, ``cherednik`` and ``cherednik_prime`` combine
+``dunkl`` and ``jucys_murphy`` images.
 
-``jack.verify_eigen_equations`` checks the generic eigen equations on the
-packed accumulators of ``cherednik_prime`` applied to a ``Packed`` operand
-at one integer Kronecker point, with no unpacking in between.
-``uprime_column`` builds U'_i columns on the same integer scale for the
-projection constructor, with rows addressed by integer exponent codes; the
-operators above do not use it, so the eigen check stays independent of the
-constructor.
+``jack.verify_eigen_equations`` checks the generic eigen equations with
+``cherednik_prime`` on a ``Packed`` operand at one integer Kronecker point:
+``cherednik_kernel`` makes one pass over (exponent, pair i < j) for all the
+requested indices, forms each exponent's image under D tau(ij) once for
+the divided differences of U'_i and U'_j and the swap of omega_i, and adds
+it to one packed accumulator per index keyed by integer exponent codes;
+nothing is unpacked.  ``uprime_column`` builds U'_i columns on the same
+integer scale for the projection constructor, with rows addressed by
+exponent codes too; the code above shares none of it, so the eigen check
+stays independent of the constructor.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 
 from .combinatorics import transposition
 from .ratfunc import KAPPA, RatFunc
@@ -43,12 +48,12 @@ from .vectorpoly import (
     Packed,
     VectorPoly,
     action_factor,
-    action_kernel,
     apply_packed,
     group_action,
     packed_columns,
     packed_vector,
     tau_context,
+    top_exponent,
 )
 
 
@@ -65,11 +70,11 @@ def dunkl_factor(ctx, i: int, top: int, lam: int, scale: int) -> int:
     return top * (scale + abs(lam) * ctx.spread(i))
 
 
-def dunkl_kernel(i: int, p: Packed, lam: int, scale: int, lift: int = 0) -> dict:
-    """x_i^lift (scale d/dx_i p + lam sum_{j != i} D tau(ij) dd_ij p) as
-    packed accumulators (exponent -> sum_r d_r 2^(width r)); dd_ij is the
-    divided difference and D = ``ctx.denominator``.  With kappa = lam / mu and scale = mu D this is
-    mu D x_i^lift times the Dunkl image.
+def dunkl_kernel(i: int, p: Packed, lam: int, scale: int) -> dict:
+    """scale d/dx_i p + lam sum_{j != i} D tau(ij) dd_ij p as packed
+    accumulators (exponent -> sum_r d_r 2^(width r)); dd_ij is the divided
+    difference and D = ``ctx.denominator``.  With kappa = lam / mu and
+    scale = mu D this is mu D times the Dunkl image.
 
     For j != i, with e = exp_i and q = exp_j, the divided difference of a
     monomial is the sum of the monomials of exp with (exp_i, exp_j) replaced
@@ -96,7 +101,7 @@ def dunkl_kernel(i: int, p: Packed, lam: int, scale: int, lift: int = 0) -> dict
     for exp, entries in p.groups.items():
         e = exp[i - 1]
         if e:
-            key = exp[: i - 1] + (e - 1 + lift,) + exp[i:]
+            key = exp[: i - 1] + (e - 1,) + exp[i:]
             vec = packed_vector(entries, p.width)
             acc[key] = acc.get(key, 0) + e * scale * vec
         moved = list(exp)
@@ -110,7 +115,7 @@ def dunkl_kernel(i: int, p: Packed, lam: int, scale: int, lift: int = 0) -> dict
             else:
                 lo, hi = q, e
             for v in range(lo, hi):
-                moved[i - 1], moved[j - 1] = v + lift, e + q - 1 - v
+                moved[i - 1], moved[j - 1] = v, e + q - 1 - v
                 key = tuple(moved)
                 acc[key] = acc.get(key, 0) + image
             moved[i - 1], moved[j - 1] = e, q
@@ -185,41 +190,131 @@ def cherednik(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
 
 def cherednik_factor(ctx, i: int, top: int, lam: int, mu: int) -> int:
     """A term of coefficient c sends at most |c| times this into the digits
-    of lam D U'_i at kappa = lam / mu (``cherednik_prime`` on a ``Packed``
-    operand), top the largest exponent of the input: the sum of the two
-    kernels' factors."""
+    of lam D U'_i at kappa = lam / mu (``cherednik_kernel`` without the
+    eigen term), top the largest exponent of the input: the sum of the
+    factors of ``dunkl_kernel`` and ``action_kernel`` on the swaps."""
     big_d = ctx.denominator
     return dunkl_factor(ctx, i, top, lam, mu * big_d) + action_factor(
         ctx, _swaps(ctx.n, i), abs(lam) * big_d
     )
 
 
-def cherednik_prime(i: int, p, kappa=None):
+def cherednik_kernel(indices, p: Packed, lam: int, mu: int, spectrum=None) -> list:
+    """For each index i of ``indices``, lam D (U'_i - zeta'_i) p at kappa =
+    lam / mu as packed accumulators (code(exp) -> sum_r d_r 2^(width r)),
+    D = ``ctx.denominator`` and zeta'_i = a_i / kappa + c_i for the pairs
+    (a_t, c_t), t = 1..n, of ``spectrum`` (zero when None).  One pass over
+    the exponents serves all the indices:
+
+        lam D U'_i = x_i (mu D d/dx_i) + lam sum_{j != i} D tau(ij) x_i dd_ij
+                     + lam sum_{j > i} D tau(ij) s_ij,
+
+    dd_ij the divided difference and s_ij the swap of exp_i and exp_j.  The
+    derivative and eigen terms keep each exponent and go in once per
+    (exponent, index), as D (mu (e_i - a_i) - lam c_i) times its packed
+    tableau vector.  For each pair i < j with e = exp_i != q = exp_j, the
+    image of the exponent under lam D tau(ij) (the matrix of the
+    transposition, the same for i and j) is formed once and feeds three
+    terms.  Write exp(w) for exp with (exp_i, exp_j) replaced by
+    (w, e + q - w).  Then x_i dd_ij adds the image at w in min + 1..max
+    with sign +1 when q < e and -1 when q > e (min, max of e and q);
+    x_j dd_ji adds it with the opposite sign at w in min..max - 1, the
+    same run one step lower; and
+    the swap adds it with sign +1 at w = q, which extends the run of x_i
+    dd_ij to q..e when q < e and cancels its end w = q when q > e.  When
+    q = e only the swap is left, at exp itself.  Each accumulator holds the
+    same integers as the sum of ``dunkl_kernel`` times x_i and
+    ``action_kernel`` on the swaps, minus the eigen term, so every digit is
+    at most ||c||_1 * (``cherednik_factor`` + D (|a_i| mu + |c_i| |lam|))
+    in absolute value.
+
+    Codes.  Every key is code(exp) = sum_t exp_t B^(t-1) with B = top + 1,
+    top the largest entry of any exponent of p.  The derivative and eigen
+    terms keep exp, and every exp(w) above has both w and e + q - w in
+    min..max, so every key's entries lie in 0..top < B: they are the
+    digits of its code in base B, and distinct keys have distinct codes
+    whatever the degrees of the monomials.  Moving from exp(w) to
+    exp(w + 1) adds step = B^(i-1) - B^(j-1) to the code (nonzero, as e !=
+    q makes top >= 1), so each run is one ``range`` of codes.
+    """
+    ctx = p.ctx
+    n, big_d, width = ctx.n, ctx.denominator, p.width
+    accs = {i: defaultdict(int) for i in indices}
+    base = top_exponent(p.groups) + 1
+    powers = [base**t for t in range(n)]
+    spectrum = spectrum or [(0, 0)] * n
+    diagonal = []
+    for i, acc in accs.items():
+        a, c = spectrum[i - 1]
+        diagonal.append((i - 1, acc, mu * big_d, big_d * (mu * a + lam * c)))
+    pairs = [
+        (
+            i - 1,
+            j - 1,
+            accs.get(i),
+            accs.get(j),
+            powers[i - 1] - powers[j - 1],
+            packed_columns(ctx.scaled_transpositions(i)[j - 1], width, lam, p.used),
+        )
+        for i in range(1, n)
+        for j in range(i + 1, n + 1)
+        if i in accs or j in accs
+    ]
+    for exp, entries in p.groups.items():
+        code = sum(map(mul, exp, powers))
+        vec = packed_vector(entries, width)
+        for t, acc, scale, shift in diagonal:
+            acc[code] += (exp[t] * scale - shift) * vec
+        for t, u, acc_i, acc_j, step, cols in pairs:
+            e, q = exp[t], exp[u]
+            if e == q:
+                if acc_i is not None:
+                    acc_i[code] += sum(c * cols[tab] for tab, c in entries)
+                continue
+            image = sum(c * cols[tab] for tab, c in entries)
+            low, high = code + (q - e) * step, code + step
+            if q < e:
+                # x_i dd_ij and the swap: w = q..e; x_j dd_ji: w = q..e - 1
+                if acc_i is not None:
+                    for key in range(low, high, step):
+                        acc_i[key] += image
+                if acc_j is not None:
+                    for key in range(low, code, step):
+                        acc_j[key] -= image
+            else:
+                # x_i dd_ij less the swap: w = e + 1..q - 1; x_j dd_ji: w = e..q - 1
+                if acc_i is not None:
+                    for key in range(high, low, step):
+                        acc_i[key] -= image
+                if acc_j is not None:
+                    for key in range(code, low, step):
+                        acc_j[key] += image
+    return [accs[i] for i in indices]
+
+
+def cherednik_prime(i, p, kappa=None, spectrum=None):
     """Modified operator (1/kappa) x_i D_i + omega_i, with spectrum
     alpha_i / kappa + content on the Jack basis.
 
     On a ``VectorPoly`` it is the lifted ``dunkl`` image times 1/kappa plus
     ``jucys_murphy``, at a rational kappa and over Q(kappa) alike.  On a
     ``Packed`` operand of integer coefficients and an integer or rational
-    kappa = lam / mu, lam != 0, it is one pass of both kernels,
-
-        lam D U'_i p = x_i (mu D Dunkl_i p) + lam D omega_i p,
-
-    the first term from ``dunkl_kernel`` (scale mu D, lift 1) and the
-    second from ``action_kernel`` on the transpositions (i j), j > i, at
-    scale lam D, which every d_ij divides.  The result is the packed
-    accumulators themselves, at the operand's width and not read back, as
-    ``jack.verify_eigen_equations`` compares them; every digit is at most
-    ||c||_1 * ``cherednik_factor`` in absolute value (the kernels' bounds).
+    kappa = lam / mu, lam != 0, ``i`` is a sequence of indices and the
+    result is one dict per index: the packed accumulators of
+    lam D (U'_i - zeta'_i) p keyed by exponent codes, from one pass of
+    ``cherednik_kernel`` over the exponents, at the operand's width and not
+    read back, as ``jack.verify_eigen_equations`` compares them.
+    ``spectrum`` gives the pairs (a_t, c_t) of zeta'_t = a_t / kappa + c_t
+    (zero when None).
     """
     if kappa is None:
         kappa = KAPPA
     if isinstance(p, Packed):
-        _check_index(i, p.ctx.n)
+        indices = tuple(i)
+        for index in indices:
+            _check_index(index, p.ctx.n)
         lam, mu = Fraction(kappa).as_integer_ratio()
-        big_d = p.ctx.denominator
-        acc = dunkl_kernel(i, p, lam, mu * big_d, lift=1)
-        return action_kernel(_swaps(p.ctx.n, i), p, lam * big_d, acc)
+        return cherednik_kernel(indices, p, lam, mu, spectrum)
     _check_index(i, p.n)
     if isinstance(kappa, RatFunc):
         inv = RatFunc.kappa_inverse()

@@ -612,7 +612,11 @@ def mu_commutation_check(
     m: int, k: int, degree: int = 2, trials: int = 20, seed: int = 0
 ) -> MuCommutationReport:
     """Seeded exact verification that the module map commutes with every
-    coordinate multiplication, simple reflection, and Dunkl operator."""
+    coordinate multiplication, simple reflection, and Dunkl operator;
+    BadParams for a negative degree or fewer than one trial, which would
+    certify nothing."""
+    if degree < 0 or trials < 1:
+        raise BadParams(f"need degree >= 0 and trials >= 1, got {degree}, {trials}")
     fam = family_context(m, k)
     rng = random.Random(seed)
     n = 2 * m * k

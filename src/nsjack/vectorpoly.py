@@ -14,9 +14,11 @@ their sum in the group algebra.  Its kernel, ``action_kernel``, works on a
 at which a tableau vector packs into one integer, sum_r c_r 2^(width r).
 It applies the matrices as packed columns and adds the image to packed
 accumulators; ``group_action`` wraps it with a proved width and
-``from_packed``.  ``operators.dunkl_kernel`` uses the same packing, and
-``jack.verify_eigen_equations`` compares the two kernels' accumulators
-directly.  The kernels run on rational coefficients; ``over_q_kappa``
+``from_packed``.  ``operators.dunkl_kernel`` uses the same packing, and so
+does ``operators.cherednik_kernel``, the one pass over (exponent, pair
+i < j) whose per-index accumulators, keyed by exponent codes,
+``jack.verify_eigen_equations`` tests for zero without unpacking them.
+The kernels run on rational coefficients; ``over_q_kappa``
 lifts the operators to Q(kappa) by running them once at the Kronecker
 point kappa = 2^w on cleared numerators and reading each result back by
 its signed digits.  ``TauContext`` keeps the width-independent data: the

@@ -226,6 +226,10 @@ def test_certificate_round_trips_through_schema(capsys):
             "jack", "construct", "--alpha", "1,1,0,0",
             "--tableau-contents=-3,-2,-1,0", "--kappa", "1/0",
         ],
+        # a negative degree, or no trial at all, certifies nothing
+        ["mu", "verify", "--m", "1", "--k", "2", "--degree", "-1"],
+        ["mu", "verify", "--m", "1", "--k", "2", "--trials", "0"],
+        ["mu", "verify", "--m", "1", "--k", "2", "--trials", "-1"],
     ],
     ids=[
         "m0",
@@ -235,6 +239,9 @@ def test_certificate_round_trips_through_schema(capsys):
         "no_tableau",
         "label_length",
         "kappa_p_over_0",
+        "mu_degree_negative",
+        "mu_trials_zero",
+        "mu_trials_negative",
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, capsys):
@@ -275,6 +282,40 @@ def test_optimized_interpreter_gives_identical_certificate():
     assert [p.returncode for p in outputs] == [0, 0]
     assert outputs[0].stdout == outputs[1].stdout
     assert json.loads(outputs[1].stdout)["verified"] is True
+
+
+def test_console_script_target_and_module_entry_point():
+    # the [project.scripts] line names nsjack.cli:main, and the module runs
+    # as a program; the installed console script needs a package install,
+    # so this checks both halves of it without one (CPython 3.10 has no
+    # tomllib, so the one section is read line by line)
+    import importlib
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    section, scripts = None, {}
+    for line in (root / "pyproject.toml").read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, _, target = line.partition("=")
+            scripts[name.strip()] = target.strip().strip("\"'")
+    assert scripts == {"nsjack": "nsjack.cli:main"}
+    module, _, attr = scripts["nsjack"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsjack.cli", "--format", "json", "example", "n5"],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kappa"] == "1/2"
 
 
 # -- failed checks: one exit-1 document, whatever the command -----------------

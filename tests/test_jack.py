@@ -592,7 +592,7 @@ def test_eigen_check_width_holds_every_digit(monkeypatch, m, k):
     # R_r(K) of the left side; recompute them at 4 W on a forged member
     import nsjack.jack as jack_module
     from nsjack.jack import _kronecker_image
-    from nsjack.vectorpoly import pack, packed_vector, signed_digits
+    from nsjack.vectorpoly import pack, signed_digits
 
     widths = []
     monkeypatch.setattr(
@@ -606,12 +606,9 @@ def test_eigen_check_width_holds_every_digit(monkeypatch, m, k):
     point, image = _kronecker_image(forged)
     ctx = tau_context(jack.shape)
     wide = pack(ctx, image.terms, 4 * width)
+    pairs = spectral_pairs(jack.alpha, jack.tableau)
     largest = 0
-    for i, (a, c) in enumerate(spectral_pairs(jack.alpha, jack.tableau), 1):
-        acc = cherednik_prime(i, wide, point)
-        for exp, entries in wide.groups.items():
-            vec = packed_vector(entries, 4 * width)
-            acc[exp] = acc.get(exp, 0) - ctx.denominator * (a + c * point) * vec
+    for acc in cherednik_prime(range(1, len(pairs) + 1), wide, point, pairs):
         for value in acc.values():
             largest = max([largest, *map(abs, signed_digits(value, 4 * width))])
     assert 0 < largest < 1 << (width - 1)

@@ -362,3 +362,72 @@ def test_operator_images_are_unchanged_on_seeded_inputs():
             images += n + 2
     assert images == 536
     assert digest.hexdigest() == IMAGES_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the one-pass packed U'_i residuals against the per-index VectorPoly operator
+# ---------------------------------------------------------------------------
+
+
+def homogeneous_integer_poly(rng, shape, deg, nterms=6):
+    """Integer coefficients on random exponents of degree deg, plus one
+    monomial whose one nonzero entry deg + 2 lies above that degree."""
+    n = sum(shape)
+    dim = len(enumerate_rsyt(shape))
+    terms = {}
+    for _ in range(nterms):
+        exp = [0] * n
+        for _ in range(deg):
+            exp[rng.randrange(n)] += 1
+        coeff = rng.choice([-1, 1]) * rng.randint(1, 9)
+        terms[(tuple(exp), rng.randrange(dim))] = coeff
+    stray = [0] * n
+    stray[rng.randrange(n)] = deg + 2
+    terms[(tuple(stray), rng.randrange(dim))] = rng.randint(1, 9)
+    return VectorPoly(shape, terms)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (2, 1), (3, 2)], ids=["dim1", "dim2", "dim5"]
+)
+def test_packed_cherednik_prime_residuals_match_the_operator(shape):
+    # lam D (U'_i - zeta'_i) N from one pass, keyed by exponent codes, equals
+    # lam D U'_i N - D (a mu + c lam) N on VectorPoly for every requested
+    # index, also when only one index of a pair {i, j} is requested; the
+    # stray monomial above the degree makes a base from the degree collide
+    from nsjack.operators import cherednik_factor
+    from nsjack.vectorpoly import from_packed, pack, packed_width, top_exponent
+
+    rng = random.Random(47)
+    n = sum(shape)
+    ctx = tau_context(shape)
+    big_d = ctx.denominator
+    subsets = [tuple(range(1, n + 1)), (1,), (n,), (2,), (n, 1), (2, n - 1, 1)]
+    for kappa in (1 << 20, -7, Fraction(-3, 4)):
+        lam, mu = Fraction(kappa).as_integer_ratio()
+        for deg in (1, 2, 3):
+            poly = homogeneous_integer_poly(rng, shape, deg)
+            spectrum = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            top = top_exponent(exp for exp, _ in poly.terms)
+            assert top == deg + 2
+            factor = max(
+                cherednik_factor(ctx, i, top, lam, mu)
+                + big_d * (abs(a) * mu + abs(c) * abs(lam))
+                for i, (a, c) in enumerate(spectrum, 1)
+            )
+            width = packed_width(sum(map(abs, poly.terms.values())) * factor)
+            packed = pack(ctx, poly.terms, width)
+            for indices in subsets:
+                residuals = cherednik_prime(indices, packed, kappa, spectrum)
+                assert len(residuals) == len(indices)
+                for i, acc in zip(indices, residuals):
+                    a, c = spectrum[i - 1]
+                    by_exp = {
+                        exponent_of_code(code, top + 1, n): v for code, v in acc.items()
+                    }
+                    got = from_packed(shape, by_exp, width, 1)
+                    operator = cherednik_prime(i, poly, kappa).scale(lam * big_d)
+                    want = operator - poly.scale(big_d * (a * mu + c * lam))
+                    assert got == want, (kappa, deg, indices, i)
+            with pytest.raises(ValueError, match="outside"):
+                cherednik_prime((1, n + 1), packed, kappa)
