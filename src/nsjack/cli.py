@@ -4,12 +4,14 @@ Exit codes: 0 on success, 1 on a mathematical verification failure (any
 failed check, caught once in ``main``: the emitted document carries the
 evidence), 2 on usage errors, which include bad family parameters, malformed
 integer lists or kappa values, contents of no tableau, unreadable input files
-and operator indices out of range; these print one line on standard error.
+and operator parameters out of range (an index outside 1..n, kappa = 0 for
+U'_i); these print one line on standard error.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -263,7 +265,10 @@ def _cmd_apply_operator(args):
         poly = poly.map_coefficients(
             lambda c: c.evaluate(kappa) if isinstance(c, RatFunc) else c
         )
-    result = _OPERATORS[args.op](args.index, poly, kappa)
+    try:
+        result = _OPERATORS[args.op](args.index, poly, kappa)
+    except ValueError as exc:  # a parameter the operator rejects: kappa = 0 for U'_i
+        raise UsageError(str(exc)) from None
     doc = {"op": args.op, "index": args.index, "result": result.to_json()}
     if args.kappa is not None:
         doc["kappa"] = format_rational(kappa)
@@ -375,7 +380,10 @@ def main(argv=None) -> int:
         with open(args.output, "w") as fh:
             fh.write(rendered + "\n")
     else:
-        print(rendered)
+        try:
+            print(rendered, flush=True)
+        except BrokenPipeError:  # the reader left early; keep the exit flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -46,11 +46,11 @@ from .combinatorics import (
     transposition,
 )
 from .operators import cherednik_factor, cherednik_prime, uprime_column
-from .ratfunc import PoleAtKappa, RatFunc, clear_denominators
+from .ratfunc import PoleAtKappa, RatFunc
 from .vectorpoly import (
     VectorPoly,
     group_action,
-    kronecker_value,
+    kronecker_lift,
     leading_vector,
     pack,
     packed_width,
@@ -556,9 +556,9 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
     No arithmetic in Q(kappa) is done and no equation builds a polynomial.
     The coefficients of J are cleared once: Q is the lcm of their distinct
     denominators and N = Q J has coefficients in Z[kappa].  N is evaluated
-    once at the integer point kappa = K = 2^w (``_kronecker_image``) and
-    grouped by exponent once (``vectorpoly.pack``), at a width W shared by
-    all the equations.  One pass of ``cherednik_prime`` on the packed
+    once at the integer point kappa = K = 2^w (``vectorpoly.kronecker_lift``)
+    and grouped by exponent once (``vectorpoly.pack``), at a width W shared
+    by all the equations.  One pass of ``cherednik_prime`` on the packed
     operand (``operators.cherednik_kernel``) then visits each (exponent,
     pair i < j) once for all the indices: each exponent's tableau vector is
     packed into one integer, its image under K D tau(ij) is formed once and
@@ -581,23 +581,23 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
     U'_i N = zeta'(i) N.  Multiply the difference by kappa D, where T = D F
     is an integer map:
 
-        R = D E N + kappa T N - D (a + c kappa) N,
+        R = D E N + kappa T N - D (a + c kappa) N = S_0 N + kappa S_1 N,
 
-    a vector of integer polynomials in kappa (degree at most deg N + 1),
-    whose value at K is the left side above.  Let H bound the coefficients
-    of N, e the largest exponent, n the number of variables, t the number of
-    terms and M the largest entry of the integer matrices D tau(ij).  E, a
-    and c keep each key; a term of N reaches a given key through T at most
-    twice per j != i (one telescoped monomial, one swap), each time with a
-    factor of size at most M.  Hence every coefficient r of R has
+    S_0 = D (E - a) and S_1 = T - D c, integer maps free of kappa; R(K) is
+    the left side above.  Every term of S_0 x + S_1 y is at most
+    max(||x||_1, ||y||_1) times
 
-        |r| <= B = H (D (e + |a| + |c|) + 2 (n - 1) M t).
+        max_i (cherednik_factor(i, e, 1, 1) + D (|a_i| + |c_i|)),
 
-    With w = bit_length(B) + 1, |r| < K / 2.  If R(K) = 0 but R != 0, take a
-    key with R nonzero there and its lowest nonzero coefficient r_j: then
-    K divides r_j, against 0 < |r_j| < K.  So R(K) = 0 proves R = 0, the
-    equation over Q(kappa).  The width comes from the data, so no fixed
-    point can be fooled by a coefficient that vanishes there.
+    e the largest exponent: at lam = mu = 1 the kernel's digit bound covers
+    D E x + T y, and the eigen terms add D |a_i| ||x||_1 + D |c_i| ||y||_1.
+    So ``vectorpoly.kronecker_lift`` with this factor gives the K of
+    ``over_q_kappa``'s proof: every coefficient r of R has |r| < K / 2.  If
+    R(K) = 0 but R != 0, take a key with R nonzero there and its lowest
+    nonzero coefficient r_j: then K divides r_j, against 0 < |r_j| < K.  So
+    R(K) = 0 proves R = 0, the equation over Q(kappa).  The width comes
+    from the data, so no fixed point can be fooled by a coefficient that
+    vanishes there.
 
     Soundness of the packing.  Packing is Z-linear, so the packed left side
     at an exponent is sum_r R_r(K) 2^(W r) over the tableau rows r, exactly,
@@ -620,16 +620,19 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
             raise ValueError(f"operator index {i} outside 1..{n}")
     pairs = spectral_pairs(jack.alpha, jack.tableau)
     ctx = tau_context(jack.shape)
-    big_d = ctx.denominator
-    point, image = _kronecker_image(jack)
-    top = top_exponent(exp for exp, _ in image.terms)
-    factor = max(
-        cherednik_factor(ctx, i, top, point, 1)
-        + big_d * (abs(pairs[i - 1][0]) + abs(pairs[i - 1][1]) * point)
-        for i in indices
-    )
-    width = packed_width(sum(map(abs, image.terms.values())) * factor)
-    packed = pack(ctx, image.terms, width)
+    top = top_exponent(exp for exp, _ in jack.poly.terms)
+
+    def factor(at):
+        return max(
+            cherednik_factor(ctx, i, top, at, 1)
+            + ctx.denominator * (abs(pairs[i - 1][0]) + abs(pairs[i - 1][1]) * at)
+            for i in indices
+        )
+
+    _, w, image = kronecker_lift(jack.poly, factor(1))
+    point = 1 << w
+    width = packed_width(sum(map(abs, image.values())) * factor(point))
+    packed = pack(ctx, image, width)
     residuals = cherednik_prime(indices, packed, point, pairs)
     for i, acc in zip(indices, residuals):
         if any(acc.values()):
@@ -637,31 +640,3 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
                 f"eigen equation fails at index {i} for label "
                 f"({jack.alpha}, {jack.tableau.rows})"
             )
-
-
-def _kronecker_image(jack: JackPolynomial) -> tuple[int, VectorPoly]:
-    """(K, N(K)): the Kronecker point of ``verify_eigen_equations`` for J and
-    the cleared numerators N = Q J evaluated there."""
-    pairs = spectral_pairs(jack.alpha, jack.tableau)
-    poly = jack.poly
-    ctx = tau_context(jack.shape)
-    _, numerators = clear_denominators(poly.terms.values())
-    height = max((abs(c) for num in numerators for c in num), default=0)
-    top = max((max(exp) for exp, _ in poly.terms), default=0)
-    spread = max(abs(a) + abs(c) for a, c in pairs)
-    entry = max(
-        (
-            abs(v)
-            for i in range(1, poly.n + 1)
-            for cols in filter(None, ctx.scaled_transpositions(i))
-            for col in cols
-            for _, v in col
-        ),
-        default=0,
-    )
-    bound = height * (
-        ctx.denominator * (top + spread) + 2 * (poly.n - 1) * entry * len(numerators)
-    )
-    width = bound.bit_length() + 1
-    values = (kronecker_value(num, width) for num in numerators)
-    return 1 << width, VectorPoly(jack.shape, dict(zip(poly.terms, values)))

@@ -305,10 +305,12 @@ def cherednik_prime(i, p, kappa=None, spectrum=None):
     ``cherednik_kernel`` over the exponents, at the operand's width and not
     read back, as ``jack.verify_eigen_equations`` compares them.
     ``spectrum`` gives the pairs (a_t, c_t) of zeta'_t = a_t / kappa + c_t
-    (zero when None).
+    (zero when None).  kappa = 0 is a ValueError on both operands.
     """
     if kappa is None:
         kappa = KAPPA
+    if not isinstance(kappa, RatFunc) and kappa == 0:
+        raise ValueError("U'_i has 1/kappa, so kappa = 0 is not a valid value")
     if isinstance(p, Packed):
         indices = tuple(i)
         for index in indices:

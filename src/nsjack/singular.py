@@ -166,6 +166,15 @@ def gamma_factor(pair: BrickPair) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def brick_pairs(m: int, k: int) -> list[BrickPair]:
+    """The brick pair of every source tableau of the two-row rectangle
+    (mk, mk), in ``enumerate_rsyt`` order: the family's combinatorics, with
+    no Jack polynomial.  BadShapeParams unless m >= 1 and k >= 2."""
+    if m < 1 or k < 2:
+        raise BadShapeParams(f"need m >= 1, k >= 2, got ({m}, {k})")
+    return [brick_map(source, m) for source in enumerate_rsyt((m * k, m * k))]
+
+
 class FamilyMember(NamedTuple):
     source: Rsyt
     pair: BrickPair
@@ -200,12 +209,10 @@ def family_context(m: int, k: int, n: int = 1) -> FamilyContext:
 
 @lru_cache(maxsize=None)
 def _family_context(m: int, k: int, n: int) -> FamilyContext:
-    if m < 1 or k < 2:
-        raise BadShapeParams(f"need m >= 1, k >= 2, got ({m}, {k})")
+    pairs = brick_pairs(m, k)
     if n < 1 or gcd(n, m + 2) != 1:
         raise BadParams(f"need n >= 1 coprime to m+2, got n={n}")
     kappa0 = Fraction(n, m + 2)
-    pairs = [brick_map(source, m) for source in enumerate_rsyt((m * k, m * k))]
     # every label permutes one partition: the members share their U'_i columns
     columns = ColumnTable((m,) * (2 * k), n * sum(pairs[0].beta))
     members = []
@@ -489,22 +496,21 @@ def pair_tableau(beta, tableau) -> PairTableau:
 class NormReport(NamedTuple):
     m: int
     k: int
-    table: dict  # source content vector -> (norm^2, gamma)
+    table: dict  # source content vector -> (norm^2, gamma), in family order
     steps_checked: int
 
     def to_json(self) -> dict:
-        fam = family_context(self.m, self.k)
         return {
             "m": self.m,
             "k": self.k,
             "steps_checked": self.steps_checked,
             "members": [
                 {
-                    "source": [list(r) for r in member.source.rows],
-                    "norm_squared": format_rational(member.source_norm_squared),
-                    "gamma": format_rational(member.gamma),
+                    "source": [list(r) for r in rsyt_from_contents(contents).rows],
+                    "norm_squared": format_rational(norm),
+                    "gamma": format_rational(gamma),
                 }
-                for member in fam.members
+                for contents, (norm, gamma) in self.table.items()
             ],
         }
 
@@ -512,42 +518,39 @@ class NormReport(NamedTuple):
 def norms_and_gamma(m: int, k: int) -> NormReport:
     """Norms and gamma factors for every member, with the product formula
     cross-checked against the permissible-step recursion over every edge of
-    the reduction graph (hence path-independently)."""
+    the reduction graph (hence path-independently).  Both are products over
+    content differences of the brick pairs, so no Jack polynomial is built."""
     from .combinatorics import apply_permissible_step, is_permissible_step
 
-    fam = family_context(m, k)
-    by_source = {member.source: member for member in fam.members}
+    by_source = {pair.source: pair for pair in brick_pairs(m, k)}
+    table = {
+        source.content_vector(): (tableau_norm_squared(source), gamma_factor(pair))
+        for source, pair in by_source.items()
+    }
     s0 = max_inv_source(m, k)
-    if (by_source[s0].source_norm_squared, by_source[s0].gamma) != (1, 1):
+    if table[s0.content_vector()] != (1, 1):
         raise AssertionError(f"norm or gamma of the top source {s0.rows} is not 1")
     steps = 0
-    for member in fam.members:
-        low = member.source
+    for low in by_source:
+        norm, gamma = table[low.content_vector()]
         for i in range(1, 2 * m * k):
             if not is_permissible_step(low, i):
                 continue
             high = apply_permissible_step(low, i)
-            high_member = by_source[high]
             cv = high.content_vector()
+            high_norm, high_gamma = table[cv]
             d = cv[i - 1] - cv[i]
             if d < 2:
                 raise AssertionError(f"step {i} at {low.rows} has content gap {d} < 2")
             b = Fraction(1, d)
             factor = 1 - b * b
-            if member.source_norm_squared != factor * high_member.source_norm_squared:
+            if norm != factor * high_norm:
                 raise AssertionError(f"norm recursion fails at {low.rows}, step {i}")
-            hb = high_member.pair.beta
-            gamma_factor = 1 if hb[i - 1] == hb[i] else factor
-            if member.gamma != gamma_factor * high_member.gamma:
+            hb = by_source[high].beta
+            step_gamma = 1 if hb[i - 1] == hb[i] else factor
+            if gamma != step_gamma * high_gamma:
                 raise AssertionError(f"gamma recursion fails at {low.rows}, step {i}")
             steps += 1
-    table = {
-        member.source.content_vector(): (
-            member.source_norm_squared,
-            member.gamma,
-        )
-        for member in fam.members
-    }
     return NormReport(m=m, k=k, table=table, steps_checked=steps)
 
 

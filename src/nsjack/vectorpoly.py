@@ -478,6 +478,19 @@ def from_packed(shape, acc: dict, width: int, den: int) -> VectorPoly:
     return VectorPoly(shape, out)
 
 
+def kronecker_lift(p: VectorPoly, factor: int) -> tuple[tuple, int, dict]:
+    """(Q, w, N(K)) for p = N / Q cleared once, N in Z[kappa], and w the
+    width that holds |N| * factor: the Kronecker point K = 2^w of
+    ``over_q_kappa``, whose proof says why K reads S_0 N + kappa S_1 N."""
+    q, numerators = clear_denominators(
+        c if isinstance(c, RatFunc) else RatFunc.from_fraction(c)
+        for c in p.terms.values()
+    )
+    width = packed_width(sum(abs(c) for num in numerators for c in num) * factor)
+    point = {key: kronecker_value(num, width) for key, num in zip(p.terms, numerators)}
+    return q, width, point
+
+
 def over_q_kappa(p: VectorPoly, scale: int, factor: int, kernel) -> VectorPoly:
     """The image of p over Q(kappa) under a packed kernel, from one run of
     the kernel at the integer point kappa = K = 2^w; coefficients that are
@@ -489,7 +502,7 @@ def over_q_kappa(p: VectorPoly, scale: int, factor: int, kernel) -> VectorPoly:
     runs at kappa = K), and every term of S_0 x + S_1 y is at most
     max(||x||_1, ||y||_1) * factor in absolute value.
 
-    Proof.  Clearing once gives p = N / Q with N in Z[kappa].  Evaluation
+    Proof.  ``kronecker_lift`` clears p = N / Q, N in Z[kappa].  Evaluation
     at K is a ring map, so scale times the image of N(K) is R(K) for
     R = S_0 N + kappa S_1 N in Z[kappa], and the image of p is
     R / (scale * Q).  Let |N| be the sum of the absolute values of all
@@ -500,12 +513,7 @@ def over_q_kappa(p: VectorPoly, scale: int, factor: int, kernel) -> VectorPoly:
     coefficient is reduced once; a result that scale does not clear is a
     ValueError.
     """
-    q, numerators = clear_denominators(
-        c if isinstance(c, RatFunc) else RatFunc.from_fraction(c)
-        for c in p.terms.values()
-    )
-    width = packed_width(sum(abs(c) for num in numerators for c in num) * factor)
-    point = {key: kronecker_value(num, width) for key, num in zip(p.terms, numerators)}
+    q, width, point = kronecker_lift(p, factor)
     den = tuple(scale * c for c in q)
     out = {}
     for key, c in kernel((1, point), 1 << width).terms.items():

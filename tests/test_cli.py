@@ -160,6 +160,40 @@ def test_apply_operator_over_q_kappa_on_a_family_member(tmp_path, capsys):
         assert images["dunkl"] == dunkl_fractions(i, jack.poly, KAPPA)
 
 
+# sha256 of the norms documents (json, then text) as recorded when norms
+# still constructed the whole family
+NORMS_SHA256 = {
+    (1, 2): (
+        "abdcce8d8694bf96dd99fcf9ea6a019f9dfe4d13c0ba225bfb2bf182a5fc0344",
+        "05abc19ddd13b4436625c5402c782caece58f50c94bee97e249ebf0cbf6e041e",
+    ),
+    (2, 2): (
+        "3eb09028150a611695c1e33913cbdf4a3027fe226d1e8d69c39cdd1530a6161f",
+        "745b300367b3c09998a06d4c547eabd00e43c4d4ec2982adecdf32f6b8c32def",
+    ),
+    (1, 3): (
+        "5ea7e69a0990a611d48b143f30c738c2ec13862015ee38b508c092b1412df276",
+        "4b8ca8d514c9513c36b077cb98272499f2315eff584704fd2038d5f9baaa4697",
+    ),
+    (1, 4): (
+        "5f5e00734d137d222a6b7741bd0f03abfa616bb4410d822c5fe73045933edfd3",
+        "2569c15d1c76f1243adb0fbccd5086b161db65d564432f6c5db61d2fe20478d7",
+    ),
+}
+
+
+@pytest.mark.parametrize("m, k", sorted(NORMS_SHA256))
+def test_norms_output_is_pinned(m, k, capsys):
+    import hashlib
+
+    digests = []
+    for fmt in ("json", "text"):
+        code, out = run(capsys, "--format", fmt, "norms", "--m", str(m), "--k", str(k))
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == NORMS_SHA256[m, k]
+
+
 def test_byte_identical_output(capsys):
     argv = ["--format", "json", "norms", "--m", "1", "--k", "2"]
     _, out1 = run(capsys, *argv)
@@ -230,6 +264,8 @@ def test_certificate_round_trips_through_schema(capsys):
         ["mu", "verify", "--m", "1", "--k", "2", "--degree", "-1"],
         ["mu", "verify", "--m", "1", "--k", "2", "--trials", "0"],
         ["mu", "verify", "--m", "1", "--k", "2", "--trials", "-1"],
+        ["norms", "--m", "0", "--k", "2"],
+        ["norms", "--m", "1", "--k", "1"],
     ],
     ids=[
         "m0",
@@ -242,10 +278,23 @@ def test_certificate_round_trips_through_schema(capsys):
         "mu_degree_negative",
         "mu_trials_zero",
         "mu_trials_negative",
+        "norms_m0",
+        "norms_k1",
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, capsys):
     assert_usage_error(main(argv), capsys)
+
+
+def test_cherednik_prime_at_kappa_zero_exits_2(tmp_path, capsys):
+    # U'_i has 1/kappa, so kappa = 0 is a bad parameter, not a traceback
+    from nsjack.vectorpoly import VectorPoly
+
+    poly = VectorPoly.monomial((2, 2), (1, 0, 0, 0), 0, 1)
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"shape": [2, 2], "poly": poly.to_json()}))
+    argv = ["apply-operator", "--op", "cherednik-prime", "--index", "1"]
+    assert_usage_error(main([*argv, "--input", str(path), "--kappa", "0"]), capsys)
 
 
 def assert_usage_error(code, capsys):
@@ -282,6 +331,29 @@ def test_optimized_interpreter_gives_identical_certificate():
     assert [p.returncode for p in outputs] == [0, 0]
     assert outputs[0].stdout == outputs[1].stdout
     assert json.loads(outputs[1].stdout)["verified"] is True
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that stops early (| head) closes the pipe before the child
+    # writes: no BrokenPipeError traceback, and the handler's exit code
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    argv = ["-m", "nsjack.cli", "--format", "json", "norms", "--m", "1", "--k", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
 
 
 def test_console_script_target_and_module_entry_point():
@@ -332,12 +404,14 @@ def assert_failure_document(code, capsys, match):
 def test_norms_with_a_forged_gamma_exits_1(monkeypatch, capsys):
     import nsjack.singular as singular_module
 
-    fam = singular_module.family_context(1, 2)
-    # members[1] is the lower source of the one permissible step
-    members = list(fam.members)
-    members[1] = members[1]._replace(gamma=2 * members[1].gamma)
-    forged = fam._replace(members=tuple(members))
-    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
+    # the second source of (1, 2) is the lower end of the one permissible step
+    low = singular_module.brick_pairs(1, 2)[1].source
+    real = singular_module.gamma_factor
+    monkeypatch.setattr(
+        singular_module,
+        "gamma_factor",
+        lambda pair: 2 * real(pair) if pair.source == low else real(pair),
+    )
     code = main(["--format", "json", "norms", "--m", "1", "--k", "2"])
     assert_failure_document(code, capsys, "gamma recursion")
 

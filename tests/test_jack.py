@@ -451,13 +451,30 @@ def test_eigen_check_rejects_one_perturbed_coefficient():
     assert eigen_verdicts(forge(jack, VectorPoly(jack.shape, terms))) == (False, False)
 
 
-def test_eigen_check_width_follows_the_data():
+def spy_kronecker_lift(monkeypatch):
+    """The list of (K, N(K)) that ``verify_eigen_equations`` lifts, one
+    pair per call, from ``vectorpoly.kronecker_lift``."""
+    import nsjack.jack as jack_module
+    from nsjack.vectorpoly import kronecker_lift
+
+    lifts = []
+
+    def spy(*args):
+        q, width, image = kronecker_lift(*args)
+        lifts.append((1 << width, image))
+        return q, width, image
+
+    monkeypatch.setattr(jack_module, "kronecker_lift", spy)
+    return lifts
+
+
+def test_eigen_check_width_follows_the_data(monkeypatch):
     # a coefficient c (kappa - K0) vanishes at the point chosen for the honest
     # member, so a check pinned there would accept; the forged data widen it
-    from nsjack.jack import _kronecker_image
-
+    lifts = spy_kronecker_lift(monkeypatch)
     jack = family_context(1, 2).members[0].jack
-    point, packed = _kronecker_image(jack)
+    verify_eigen_equations(jack)
+    ((point, packed),) = lifts
     constant = (0,) * len(jack.alpha)  # outside the homogeneous support
     forged = forge(
         jack, jack.poly + VectorPoly.monomial(jack.shape, constant, 0, (KAPPA - point) * 5)
@@ -469,9 +486,9 @@ def test_eigen_check_width_follows_the_data():
         for c in reversed(num):
             value = value * point + c
         at_point[term] = value
-    assert VectorPoly(jack.shape, at_point) == packed
-    assert _kronecker_image(forged)[0] > point
+    assert VectorPoly(jack.shape, at_point) == VectorPoly(jack.shape, packed)
     assert eigen_verdicts(forged) == (False, False)
+    assert lifts[1][0] > point
 
 
 def test_eigen_check_honours_indices():
@@ -591,21 +608,21 @@ def test_eigen_check_width_holds_every_digit(monkeypatch, m, k):
     # the packed comparison is sound only when W holds every digit
     # R_r(K) of the left side; recompute them at 4 W on a forged member
     import nsjack.jack as jack_module
-    from nsjack.jack import _kronecker_image
     from nsjack.vectorpoly import pack, signed_digits
 
     widths = []
     monkeypatch.setattr(
         jack_module, "pack", lambda *args: widths.append(args[2]) or pack(*args)
     )
+    lifts = spy_kronecker_lift(monkeypatch)
     jack = family_context(m, k).members[0].jack
     forged = scaled(jack, next(key for key in jack.poly.terms if key[0] == jack.alpha))
     with pytest.raises(AssertionError):
         verify_eigen_equations(forged)
     (width,) = widths
-    point, image = _kronecker_image(forged)
+    ((point, image),) = lifts
     ctx = tau_context(jack.shape)
-    wide = pack(ctx, image.terms, 4 * width)
+    wide = pack(ctx, image, 4 * width)
     pairs = spectral_pairs(jack.alpha, jack.tableau)
     largest = 0
     for acc in cherednik_prime(range(1, len(pairs) + 1), wide, point, pairs):

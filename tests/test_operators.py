@@ -364,6 +364,18 @@ def test_operator_images_are_unchanged_on_seeded_inputs():
     assert digest.hexdigest() == IMAGES_SHA256
 
 
+@pytest.mark.parametrize("kappa", [0, Fraction(0)])
+def test_cherednik_prime_rejects_kappa_zero_on_both_operands(kappa):
+    # U'_i has 1/kappa: kappa = 0 is a ValueError, not a ZeroDivisionError
+    from nsjack.vectorpoly import pack
+
+    p = VectorPoly.monomial((2, 1), (1, 0, 0), 0, Fraction(1))
+    with pytest.raises(ValueError, match="kappa = 0"):
+        cherednik_prime(1, p, kappa)
+    with pytest.raises(ValueError, match="kappa = 0"):
+        cherednik_prime((1, 2), pack(tau_context((2, 1)), p.terms, 8), kappa)
+
+
 # ---------------------------------------------------------------------------
 # the one-pass packed U'_i residuals against the per-index VectorPoly operator
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from nsjack.singular import (
     OrderViolation,
     alpha_variants,
     brick_map,
+    brick_pairs,
     closure_check,
     example_n5,
     family_context,
@@ -442,22 +443,61 @@ def forge_family(monkeypatch, field, value, member=1):
     monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
 
 
+def forge_factor(monkeypatch, field, value, member=1):
+    """Serve the (1, 2) source at ``member`` a forged ``field`` of its
+    family member, gamma or source_norm_squared, by replacing the function
+    that computes it from the brick pair; value maps the honest one."""
+    import nsjack.singular as singular_module
+
+    name, arg_source = {
+        "gamma": ("gamma_factor", lambda pair: pair.source),
+        "source_norm_squared": ("tableau_norm_squared", lambda source: source),
+    }[field]
+    source = brick_pairs(1, 2)[member].source
+    real = getattr(singular_module, name)
+    monkeypatch.setattr(
+        singular_module,
+        name,
+        lambda arg: value(real(arg)) if arg_source(arg) == source else real(arg),
+    )
+
+
 @pytest.mark.parametrize(
     "field, match",
     [("gamma", "gamma recursion"), ("source_norm_squared", "norm recursion")],
 )
 def test_norm_recursion_rejects_a_forged_member(monkeypatch, field, match):
-    # members[1] is the lower source of the one permissible step
-    honest = family_context(1, 2).members[1]
-    forge_family(monkeypatch, field, 2 * getattr(honest, field))
+    # the second source is the lower end of the one permissible step
+    forge_factor(monkeypatch, field, lambda honest: 2 * honest)
     with pytest.raises(AssertionError, match=match):
         norms_and_gamma(1, 2)
 
 
 def test_norm_recursion_rejects_a_forged_top_member(monkeypatch):
-    forge_family(monkeypatch, "gamma", Fraction(1, 2), member=0)
+    forge_factor(monkeypatch, "gamma", lambda honest: Fraction(1, 2), member=0)
     with pytest.raises(AssertionError, match="top source"):
         norms_and_gamma(1, 2)
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (2, 3)])
+def test_norms_build_no_jack_polynomial(monkeypatch, m, k):
+    # norms and gammas are products over content differences of the brick
+    # pairs; constructing either of these families would exhaust memory
+    import nsjack.singular as singular_module
+
+    def refuse(*args):
+        raise AssertionError("norms built a Jack polynomial")
+
+    monkeypatch.setattr(singular_module, "construct_jack", refuse)
+    monkeypatch.setattr(singular_module, "family_context", refuse)
+    report = norms_and_gamma(m, k)
+    doc = report.to_json()
+    assert len(report.table) == len(doc["members"]) == 132
+    assert report.steps_checked == 330
+    assert report.table[max_inv_source(m, k).content_vector()] == (1, 1)
+    assert [member["source"] for member in doc["members"]] == [
+        [list(r) for r in pair.source.rows] for pair in brick_pairs(m, k)
+    ]
 
 
 def test_closure_rejects_a_forged_label(monkeypatch):
