@@ -125,8 +125,8 @@ def _cmd_brickmap(args):
 
 
 def _cmd_uniq_check(args):
-    kappa0 = Fraction(1, args.m + 2)
     t0 = brick_stack_target(args.m, args.k)
+    kappa0 = Fraction(1, args.m + 2)
     if args.s is None:
         beta = layer_composition(args.m, args.k)
         doc_extra = {}

@@ -88,10 +88,8 @@ def spectral_vector(alpha, tableau: Rsyt) -> tuple[RatFunc, ...]:
 
 
 def spectral_vector_at(alpha, tableau: Rsyt, kappa0) -> tuple[Fraction, ...]:
-    kappa0 = Fraction(kappa0)
-    return tuple(
-        Fraction(a, 1) / kappa0 + c for a, c in spectral_pairs(alpha, tableau)
-    )
+    p, q = Fraction(kappa0).as_integer_ratio()  # a / kappa0 + c = (a q + c p) / p
+    return tuple(Fraction(a * q + c * p, p) for a, c in spectral_pairs(alpha, tableau))
 
 
 def b_value(alpha, tableau: Rsyt, i: int) -> RatFunc:

@@ -89,8 +89,8 @@ def brick_map(source, m: int) -> BrickPair:
     corresponding block of the stacked shape."""
     if len(source.shape) != 2 or source.shape[0] != source.shape[1]:
         raise BadShapeParams(f"need a two-row rectangle, got {source.shape}")
-    if source.shape[0] % m:
-        raise BadShapeParams(f"{source.shape[0]} columns not a multiple of {m}")
+    if m < 1 or source.shape[0] % m:
+        raise BadShapeParams(f"need m >= 1 dividing {source.shape[0]}, got m={m}")
     k = source.shape[0] // m
     if k < 2:
         raise BadShapeParams(f"need at least two bricks, got k={k}")
@@ -723,7 +723,7 @@ class ClosureReport(NamedTuple):
     k: int
     kappa0: Fraction
     case_counts: dict
-    hinge_labels: tuple  # labels whose pole-freeness was certified separately
+    hinge_labels: tuple  # labels certified pole-free by separation at kappa0
 
     def to_json(self) -> dict:
         return {
@@ -740,91 +740,92 @@ class ClosureReport(NamedTuple):
 
 def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     """Classify every (source, index) pair by the content gap and verify the
-    predicted action of the simple reflection on the family span, including
-    the hinge case where the swapped label must first be certified pole-free."""
+    predicted action of the simple reflection on the family span, from the
+    family alone: no Jack polynomial is built or specialized here.
+
+    Cases.  With J_S the member of source S at kappa0, transport checks
+    gamma_S s_i J_S = sum_R c gamma_R J_R over the column ((R, c), ...) of
+    the seminormal matrix sigma(s_i) at S.  Each case then checks the column:
+    ((S, -1)) if same-column and ((S, 1)) if same-row or hinge, so s_i J_S
+    = -J_S or J_S (gamma_S != 0, see ``gamma_factor``); ((S, b), (S', c))
+    with c gamma_S' = scalar gamma_S if generic, so (s_i - b) J_S = scalar J_S'.
+
+    Hinges.  A hinge label L0 = (beta, T) whose spectral vector at kappa0 is
+    unique (``uniqueness_oracle``) has no pole there.  Each label L =
+    (gamma, T') with gamma strictly below beta has an index i_L separating
+    it from L0 at kappa0, hence over Q(kappa).  U'_i is triangular on
+    span{x^gamma (x) T' : gamma <= beta} (Dunkl and Luque, "Vector-valued
+    Jack polynomials from scratch", SIGMA 7, 2011), so, as ``jack._construct``
+    uses, J_L0 is prod_L (U'_{i_L} - zeta_{i_L}(L)) / (zeta_{i_L}(L0) -
+    zeta_{i_L}(L)) applied to the rational leading vector.  U'_i has its
+    only pole at kappa = 0 and every denominator is nonzero at kappa0."""
     fam = family_context(m, k, n)
     sigma_ctx = tau_context(fam.sigma)
-    by_source = {member.source.content_vector(): member for member in fam.members}
     counts = {"generic": 0, "same_column": 0, "same_row_brick": 0, "hinge": 0}
     hinges = []
     nvars = 2 * m * k
     for s_idx, member in enumerate(fam.members):
-        source = member.source
-        if member.pair.beta[-1] != 0:
+        source, beta, tab = member.source, member.pair.beta, member.pair.tableau
+        if beta[-1] != 0:
             raise ClosureViolation(f"top entry of {source.rows} is not in the first brick")
-        spec = member.specialized
         cv = source.content_vector()
         for i in range(1, nvars):
             diff = cv[i - 1] - cv[i]
-            w = transposition(nvars, i, i + 1)
-            swapped_poly = group_action(w, spec)
-            beta = member.pair.beta
             # the rescaled family transforms with the seminormal source-side
             # matrices, uniformly across all cases
+            col = sigma_ctx.simple(i)[s_idx]
+            weighted = tuple((r, c * fam.members[r].gamma) for r, c in col)
             rhs_full = VectorPoly.zero(fam.tau)
-            for row, c in sigma_ctx.simple(i)[s_idx]:
-                rhs_full = rhs_full + fam.members[row].specialized.scale(
-                    c * fam.members[row].gamma
-                )
-            if swapped_poly.scale(member.gamma) != rhs_full:
+            for row, c in weighted:
+                rhs_full = rhs_full + fam.members[row].specialized.scale(c)
+            swapped = group_action(transposition(nvars, i, i + 1), member.specialized)
+            if swapped.scale(member.gamma) != rhs_full:
                 raise ClosureViolation(
                     f"matrix transport fails at source {source.rows}, i={i}"
                 )
             if abs(diff) >= 2:
-                counts["generic"] += 1
-                b = Fraction(1, diff)
-                other = by_source[_swap(cv, i)]
+                case, b = "generic", Fraction(1, diff)
+                o_idx = sigma_ctx.index[_swap(cv, i)]
+                other = fam.members[o_idx]
                 if beta[i - 1] != beta[i]:
-                    expected_label = tuple(n * x for x in _swap(beta, i))
+                    expected = (tuple(n * x for x in _swap(beta, i)), tab)
                     scalar = 1 - b * b if beta[i - 1] > beta[i] else Fraction(1)
-                    expected_tableau = member.pair.tableau
                 else:
                     j = rank_permutation(member.label)[i - 1]
-                    expected_label = member.label
-                    expected_tableau = Rsyt(member.pair.tableau.swap_entries(j))
+                    expected = (member.label, Rsyt(tab.swap_entries(j)))
                     scalar = Fraction(1) if b > 0 else 1 - b * b
-                if (other.label, other.pair.tableau) != (expected_label, expected_tableau):
+                if (other.label, other.pair.tableau) != expected:
                     raise ClosureViolation(
                         f"generic case at source {source.rows}, i={i} reaches "
                         f"label {other.label} on {other.pair.tableau.rows}, not "
-                        f"the predicted {expected_label} on {expected_tableau.rows}"
+                        f"the predicted {expected[0]} on {expected[1].rows}"
                     )
-                lhs = swapped_poly - spec.scale(b)
-                if lhs != other.specialized.scale(scalar):
-                    raise ClosureViolation(
-                        f"generic case fails at source {source.rows}, i={i}"
-                    )
+                predicted = ((s_idx, b), (o_idx, scalar))
             elif diff == -1:
-                counts["same_column"] += 1
-                if swapped_poly != -spec:
-                    raise ClosureViolation(
-                        f"same-column case fails at {source.rows}, i={i}"
-                    )
+                case, predicted = "same_column", ((s_idx, -1),)
             elif diff == 1 and beta[i - 1] == beta[i]:
-                counts["same_row_brick"] += 1
-                if swapped_poly != spec:
-                    raise ClosureViolation(
-                        f"same-row case fails at {source.rows}, i={i}"
-                    )
+                case, predicted = "same_row_brick", ((s_idx, 1),)
             else:
                 if diff != 1 or beta[i - 1] <= beta[i]:
                     raise ClosureViolation(
                         f"unclassified case at source {source.rows}, i={i}"
                     )
-                counts["hinge"] += 1
-                b = b_value(member.label, member.pair.tableau, i).evaluate(fam.kappa0)
+                case, predicted = "hinge", ((s_idx, 1),)
+                b = b_value(member.label, tab, i).evaluate(fam.kappa0)
                 if b != 1:
                     raise ClosureViolation(
                         f"hinge at source {source.rows}, i={i} has b = {b}, not 1"
                     )
-                hinge_label = tuple(n * x for x in _swap(beta, i))
-                hinge_jack = construct_jack(hinge_label, member.pair.tableau)
-                specialize(hinge_jack, fam.kappa0)  # must not pole
-                hinges.append((hinge_label, member.pair.tableau))
-                if swapped_poly != spec:
+                hinge = (tuple(n * x for x in _swap(beta, i)), tab)
+                if not uniqueness_oracle(*hinge, fam.kappa0).unique:
                     raise ClosureViolation(
-                        f"hinge case fails at {source.rows}, i={i}"
+                        f"hinge label {hinge[0]} at source {source.rows}, i={i} "
+                        f"is not separated at kappa = {fam.kappa0}"
                     )
+                hinges.append(hinge)
+            counts[case] += 1
+            if weighted != tuple((row, c * member.gamma) for row, c in predicted):
+                raise ClosureViolation(f"{case} case fails at {source.rows}, i={i}")
     return ClosureReport(m, k, fam.kappa0, counts, tuple(hinges))
 
 

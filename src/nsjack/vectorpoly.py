@@ -262,9 +262,6 @@ class VectorPoly:
     def monomial_support(self) -> set:
         return {e for e, _ in self.terms}
 
-    def coefficient(self, exp, tab_index: int):
-        return self.terms.get((tuple(exp), tab_index))
-
     def tableau_component(self, exp) -> dict:
         """Mapping tableau index -> coefficient at one exponent."""
         exp = tuple(exp)

@@ -194,6 +194,36 @@ def test_norms_output_is_pinned(m, k, capsys):
     assert tuple(digests) == NORMS_SHA256[m, k]
 
 
+# sha256 of the closure documents (json, then text) as recorded when
+# closure still built a Jack polynomial for every hinge label
+CLOSURE_SHA256 = {
+    (1, 2): (
+        "5ef7d6bc40ef75446acb0df853fe69b537435adcf0ce28e5a24fbcd859f92b75",
+        "63dc14f8916b4b683f746bad1de691a41d495da3fcf980801ee235b2e4406353",
+    ),
+    (2, 2): (
+        "fefc419ec8fa5713a8f88cb4e742986eb85d3807d6d4341db7ecaf82106c57fb",
+        "a9eed86f9f024231c88026cbdf1f9f81f1074da23a6b008ba439d47ee3b32a25",
+    ),
+    (1, 3): (
+        "5b4e34bd81d14a5208e4b0425cb9522f1889f2a90717904af42745a5701043db",
+        "f09f57e30f6b8222b8582a7f17a73bb5dde1d223bba1c7a6d1e45405c040135b",
+    ),
+}
+
+
+@pytest.mark.parametrize("m, k", sorted(CLOSURE_SHA256))
+def test_closure_output_is_pinned(m, k, capsys):
+    import hashlib
+
+    digests = []
+    for fmt in ("json", "text"):
+        code, out = run(capsys, "--format", fmt, "closure", "--m", str(m), "--k", str(k))
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == CLOSURE_SHA256[m, k]
+
+
 def test_byte_identical_output(capsys):
     argv = ["--format", "json", "norms", "--m", "1", "--k", "2"]
     _, out1 = run(capsys, *argv)
@@ -247,6 +277,10 @@ def test_certificate_round_trips_through_schema(capsys):
     assert json.dumps(cert, indent=2) + "\n" == out
 
 
+# stands for the path of a file holding a valid two-row tableau
+TABLEAU_FILE = object()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -266,6 +300,10 @@ def test_certificate_round_trips_through_schema(capsys):
         ["mu", "verify", "--m", "1", "--k", "2", "--trials", "-1"],
         ["norms", "--m", "0", "--k", "2"],
         ["norms", "--m", "1", "--k", "1"],
+        # a brick width below 1 is checked before it divides
+        ["brickmap", "--tableau-json", TABLEAU_FILE, "--m", "0"],
+        # m + 2 = 0 is checked before kappa = 1/(m+2) is formed
+        ["uniq", "check", "--m", "-2", "--k", "2"],
     ],
     ids=[
         "m0",
@@ -280,9 +318,14 @@ def test_certificate_round_trips_through_schema(capsys):
         "mu_trials_negative",
         "norms_m0",
         "norms_k1",
+        "brickmap_m0",
+        "uniq_m_minus_2",
     ],
 )
-def test_bad_parameters_exit_2_with_one_line(argv, capsys):
+def test_bad_parameters_exit_2_with_one_line(argv, tmp_path, capsys):
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps([[4, 3], [2, 1]]))
+    argv = [str(path) if arg is TABLEAU_FILE else arg for arg in argv]
     assert_usage_error(main(argv), capsys)
 
 

@@ -8,6 +8,7 @@ from nsjack.combinatorics import (
     ColumnStrictTableau,
     Rsyt,
     brick_stack_target,
+    compositions_strictly_below,
     enumerate_rsyt,
     layer_composition,
     max_inv_source,
@@ -346,9 +347,12 @@ def test_closure_m1_k2():
     report = closure_check(1, 2)
     assert report.case_counts["hinge"] >= 1
     assert sum(report.case_counts.values()) == 2 * 3  # two sources, three indices
-    # every hinge label certified pole-free
-    for label, tab in report.hinge_labels:
-        specialize(construct_jack(label, tab), report.kappa0)
+    # every hinge label certified pole-free by separation specializes
+    for m, k, hinges in [(1, 2, 2), (1, 3, 10), (2, 2, 14)]:
+        report = closure_check(m, k)
+        assert len(report.hinge_labels) == hinges
+        for label, tab in report.hinge_labels:
+            specialize(construct_jack(label, tab), report.kappa0)
 
 
 # -- the five-variable example ------------------------------------------------------
@@ -513,3 +517,58 @@ def test_closure_rejects_a_member_outside_the_first_brick(monkeypatch):
     forge_family(monkeypatch, "pair", pair)
     with pytest.raises(ClosureViolation, match="first brick"):
         closure_check(1, 2)
+
+
+def test_closure_rejects_a_hinge_label_without_separation(monkeypatch):
+    import nsjack.singular as singular_module
+
+    real = singular_module.uniqueness_oracle
+
+    def one_collision(beta, tableau, kappa0):
+        lower = min(compositions_strictly_below(beta))
+        return real(beta, tableau, kappa0)._replace(
+            unique=False, collisions=((lower, tableau),)
+        )
+
+    monkeypatch.setattr(singular_module, "uniqueness_oracle", one_collision)
+    with pytest.raises(ClosureViolation, match="not separated"):
+        closure_check(1, 2)
+
+
+def test_closure_rejects_a_forged_gamma(monkeypatch):
+    honest = family_context(1, 2).members[1]
+    forge_family(monkeypatch, "gamma", 2 * honest.gamma)
+    with pytest.raises(ClosureViolation, match="matrix transport"):
+        closure_check(1, 2)
+
+
+def test_closure_rejects_a_member_without_leading_coefficient_1(monkeypatch):
+    # doubling one member and halving its gamma keeps every transport
+    # identity; only the generic case's scalar identity sees it
+    import nsjack.singular as singular_module
+
+    fam = family_context(1, 2)
+    members = list(fam.members)
+    members[1] = members[1]._replace(
+        specialized=members[1].specialized.scale(Fraction(2)),
+        gamma=members[1].gamma / 2,
+    )
+    forged = fam._replace(members=tuple(members))
+    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
+    with pytest.raises(ClosureViolation, match="generic case fails"):
+        closure_check(1, 2)
+
+
+def test_closure_builds_no_jack_polynomial(monkeypatch):
+    # the family is built beforehand; closure itself reads only the family
+    import nsjack.singular as singular_module
+
+    family_context(1, 3)
+
+    def refuse(*args):
+        raise AssertionError("closure built or specialized a Jack polynomial")
+
+    monkeypatch.setattr(singular_module, "construct_jack", refuse)
+    monkeypatch.setattr(singular_module, "specialize", refuse)
+    report = closure_check(1, 3)
+    assert len(report.hinge_labels) == 10
