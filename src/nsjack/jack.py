@@ -50,10 +50,8 @@ from .ratfunc import PoleAtKappa, RatFunc
 from .vectorpoly import (
     VectorPoly,
     group_action,
-    kronecker_lift,
+    kronecker_pack,
     leading_vector,
-    pack,
-    packed_width,
     signed_digits,
     tau_context,
     top_exponent,
@@ -554,15 +552,15 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
     No arithmetic in Q(kappa) is done and no equation builds a polynomial.
     The coefficients of J are cleared once: Q is the lcm of their distinct
     denominators and N = Q J has coefficients in Z[kappa].  N is evaluated
-    once at the integer point kappa = K = 2^w (``vectorpoly.kronecker_lift``)
-    and grouped by exponent once (``vectorpoly.pack``), at a width W shared
-    by all the equations.  One pass of ``cherednik_prime`` on the packed
-    operand (``operators.cherednik_kernel``) then visits each (exponent,
-    pair i < j) once for all the indices: each exponent's tableau vector is
-    packed into one integer, its image under K D tau(ij) is formed once and
-    added to the divided differences of U'_i and U'_j and to the swap of
-    omega_i, and each index keeps its own packed accumulators, keyed by
-    injective exponent codes.  Equation i is the integer identity
+    once at the integer point kappa = K = 2^w and grouped by exponent once,
+    at a width W shared by all the equations (``vectorpoly.kronecker_pack``,
+    which lifts the generic operators too).  One pass of ``cherednik_prime``
+    on the packed operand (``operators.cherednik_kernel``) then visits each
+    (exponent, pair i < j) once for all the indices: each exponent's tableau
+    vector is packed into one integer, its image under K D tau(ij) is formed
+    once and added to the divided differences of U'_i and U'_j and to the
+    swap of omega_i, and each index keeps its own packed accumulators, keyed
+    by injective exponent codes.  Equation i is the integer identity
 
         x_i (D Dunkl_i N) + K D omega_i N - D (a + c K) N = 0
 
@@ -589,11 +587,11 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
 
     e the largest exponent: at lam = mu = 1 the kernel's digit bound covers
     D E x + T y, and the eigen terms add D |a_i| ||x||_1 + D |c_i| ||y||_1.
-    So ``vectorpoly.kronecker_lift`` with this factor gives the K of
-    ``over_q_kappa``'s proof: every coefficient r of R has |r| < K / 2.  If
-    R(K) = 0 but R != 0, take a key with R nonzero there and its lowest
-    nonzero coefficient r_j: then K divides r_j, against 0 < |r_j| < K.  So
-    R(K) = 0 proves R = 0, the equation over Q(kappa).  The width comes
+    So ``vectorpoly.kronecker_pack`` with this factor gives a K as in its
+    proof: every coefficient r of R has |r| < K / 2.  If R(K) = 0 but
+    R != 0, take a key with R nonzero there and its lowest nonzero
+    coefficient r_j: then K divides r_j, against 0 < |r_j| < K.  So R(K) =
+    0 proves R = 0, the equation over Q(kappa).  The width comes
     from the data, so no fixed point can be fooled by a coefficient that
     vanishes there.
 
@@ -611,27 +609,20 @@ def verify_eigen_equations(jack: JackPolynomial, indices=None):
     contradiction.  So the packed left side is 0 at every exponent iff
     R(K) = 0.
     """
-    n = len(jack.alpha)
-    indices = tuple(indices or range(1, n + 1))
-    for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"operator index {i} outside 1..{n}")
     pairs = spectral_pairs(jack.alpha, jack.tableau)
+    indices = tuple(indices or range(1, len(pairs) + 1))
     ctx = tau_context(jack.shape)
     top = top_exponent(exp for exp, _ in jack.poly.terms)
 
     def factor(at):
         return max(
             cherednik_factor(ctx, i, top, at, 1)
-            + ctx.denominator * (abs(pairs[i - 1][0]) + abs(pairs[i - 1][1]) * at)
-            for i in indices
+            + ctx.denominator * (abs(a) + abs(c) * at)
+            for i, (a, c) in enumerate(pairs, 1)
         )
 
-    _, w, image = kronecker_lift(jack.poly, factor(1))
-    point = 1 << w
-    width = packed_width(sum(map(abs, image.values())) * factor(point))
-    packed = pack(ctx, image, width)
-    residuals = cherednik_prime(indices, packed, point, pairs)
+    _, w, packed = kronecker_pack(jack.poly, factor(1), factor)
+    residuals = cherednik_prime(indices, packed, 1 << w, pairs)
     for i, acc in zip(indices, residuals):
         if any(acc.values()):
             raise AssertionError(

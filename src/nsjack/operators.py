@@ -20,14 +20,15 @@ addition.  The public operators ``dunkl`` and ``group_action`` wrap the
 kernels with ``vectorpoly.apply_packed``: a digit width proved from the
 input's 1-norm makes the packing overflow-free, and one division per term
 ends it.  Over Q(kappa) the kernels run once at the integer Kronecker point
-kappa = 2^w on the cleared numerators (``vectorpoly.over_q_kappa``).
-On a ``VectorPoly``, ``cherednik`` and ``cherednik_prime`` combine
-``dunkl`` and ``jucys_murphy`` images.
+kappa = 2^w on the cleared numerators (``vectorpoly.kronecker_pack``), and
+each packed digit is read back by its signed base-2^w digits.  On a
+``VectorPoly``, ``cherednik`` and ``cherednik_prime`` combine ``dunkl`` and
+``jucys_murphy`` images.
 
-``jack.verify_eigen_equations`` checks the generic eigen equations with
-``cherednik_prime`` on a ``Packed`` operand at one integer Kronecker point:
-``cherednik_kernel`` makes one pass over (exponent, pair i < j) for all the
-requested indices, forms each exponent's image under D tau(ij) once for
+``jack.verify_eigen_equations`` checks the generic eigen equations on the
+``Packed`` operand of ``vectorpoly.kronecker_pack`` at one integer
+Kronecker point: ``cherednik_kernel`` makes one pass over (exponent, pair
+i < j) for all the requested indices, forms each exponent's image under D tau(ij) once for
 the divided differences of U'_i and U'_j and the swap of omega_i, and adds
 it to one packed accumulator per index keyed by integer exponent codes;
 nothing is unpacked.  ``uprime_column`` builds U'_i columns on the same
@@ -131,8 +132,8 @@ def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     transposition matrices D tau(ij) (D = ``ctx.denominator``); one
     division per term ends it (``apply_packed``).  Over Q(kappa) (``kappa``
     None or ``KAPPA``) the same body runs at the Kronecker point lam = K,
-    mu = 1 (``over_q_kappa``), and so does a rational kappa on RatFunc
-    coefficients; any other RatFunc kappa is a ValueError.
+    mu = 1 (``vectorpoly.kronecker_pack``), and so does a rational kappa on
+    RatFunc coefficients; any other RatFunc kappa is a ValueError.
 
     Digit width.  Every output digit is at most ||c||_1 * factor in
     absolute value, factor = ``dunkl_factor`` = deg (mu D + |lam| sum_j
@@ -142,7 +143,7 @@ def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     Z-linear map, so ``unpack`` recovers each digit exactly.  Over Q(kappa)
     the image of the cleared numerators N is R = D E N + kappa D T N (E the
     derivative, T the twisted divided differences), and lam = mu = 1 give
-    the factor that bounds its digits for ``over_q_kappa``.
+    the factor that bounds its digits for ``vectorpoly.kronecker_pack``.
     """
     _check_index(i, p.n)
     ctx = tau_context(p.shape)
@@ -236,9 +237,15 @@ def cherednik_kernel(indices, p: Packed, lam: int, mu: int, spectrum=None) -> li
     whatever the degrees of the monomials.  Moving from exp(w) to
     exp(w + 1) adds step = B^(i-1) - B^(j-1) to the code (nonzero, as e !=
     q makes top >= 1), so each run is one ``range`` of codes.
+
+    An index outside 1..n, or lam = 0 (U'_i has 1/kappa), is a ValueError.
     """
     ctx = p.ctx
     n, big_d, width = ctx.n, ctx.denominator, p.width
+    for i in indices:
+        _check_index(i, n)
+    if not lam:
+        raise ValueError("U'_i has 1/kappa, so kappa = 0 is not a valid value")
     accs = {i: defaultdict(int) for i in indices}
     base = top_exponent(p.groups) + 1
     powers = [base**t for t in range(n)]
@@ -307,21 +314,15 @@ def cherednik_prime(i, p, kappa=None, spectrum=None):
     ``spectrum`` gives the pairs (a_t, c_t) of zeta'_t = a_t / kappa + c_t
     (zero when None).  kappa = 0 is a ValueError on both operands.
     """
-    if kappa is None:
-        kappa = KAPPA
-    if not isinstance(kappa, RatFunc) and kappa == 0:
-        raise ValueError("U'_i has 1/kappa, so kappa = 0 is not a valid value")
     if isinstance(p, Packed):
-        indices = tuple(i)
-        for index in indices:
-            _check_index(index, p.ctx.n)
         lam, mu = Fraction(kappa).as_integer_ratio()
-        return cherednik_kernel(indices, p, lam, mu, spectrum)
-    _check_index(i, p.n)
-    if isinstance(kappa, RatFunc):
+        return cherednik_kernel(tuple(i), p, lam, mu, spectrum)
+    if kappa is None or isinstance(kappa, RatFunc):
         inv = RatFunc.kappa_inverse()
+    elif kappa == 0:
+        raise ValueError("U'_i has 1/kappa, so kappa = 0 is not a valid value")
     else:
-        inv = Fraction(1) / Fraction(kappa)
+        inv = 1 / Fraction(kappa)
     return _x_dunkl(i, p, kappa).scale(inv) + jucys_murphy(i, p)
 
 

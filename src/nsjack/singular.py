@@ -35,6 +35,7 @@ from .jack import (
     JackPolynomial,
     b_value,
     construct_jack,
+    spectral_pairs,
     spectral_vector_at,
     specialize,
 )
@@ -364,18 +365,31 @@ class UniquenessReport(NamedTuple):
 def uniqueness_oracle(beta, tableau: Rsyt, kappa0) -> UniquenessReport:
     """Exhaustively enumerate all labels (gamma, T') with gamma below-or-equal
     beta of the same degree and T' of the same shape, and report every label
-    whose specialized spectral vector coincides with that of (beta, tableau)."""
+    whose specialized spectral vector coincides with that of (beta, tableau).
+
+    At kappa0 = p / q spectral entry i of (gamma, T') is (gamma_i q + c p) / p,
+    c the content of entry r_gamma(i) of T'.  So the target's integers t_i fix the
+    content of entry r_gamma(i) of a colliding T' as (t_i - gamma_i q) / p:
+    one ``rank_permutation`` per composition, and no tableau as soon as one
+    of these is not an integer."""
     beta = tuple(beta)
     kappa0 = Fraction(kappa0)
-    target = spectral_vector_at(beta, tableau, kappa0)
+    p, q = kappa0.as_integer_ratio()
+    target = [a * q + c * p for a, c in spectral_pairs(beta, tableau)]
     tabs = enumerate_rsyt(tableau.shape)
+    by_contents = {tab.content_vector(): tab for tab in tabs}
     candidates = list(compositions_strictly_below(beta)) + [beta]
     collisions = []
     for gamma in candidates:
-        for tab in tabs:
-            if gamma == beta and tab == tableau:
-                continue
-            if spectral_vector_at(gamma, tab, kappa0) == target:
+        contents = [0] * len(gamma)
+        for t, a, r in zip(target, gamma, rank_permutation(gamma)):
+            c, rem = divmod(t - a * q, p)
+            if rem:
+                break
+            contents[r - 1] = c
+        else:
+            tab = by_contents.get(tuple(contents))
+            if tab is not None and (gamma, tab) != (beta, tableau):
                 collisions.append((gamma, tab))
     return UniquenessReport(
         beta=beta,

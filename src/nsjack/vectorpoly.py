@@ -13,16 +13,19 @@ their sum in the group algebra.  Its kernel, ``action_kernel``, works on a
 ``Packed`` operand: integer coefficients grouped by exponent, with a width
 at which a tableau vector packs into one integer, sum_r c_r 2^(width r).
 It applies the matrices as packed columns and adds the image to packed
-accumulators; ``group_action`` wraps it with a proved width and
-``from_packed``.  ``operators.dunkl_kernel`` uses the same packing, and so
-does ``operators.cherednik_kernel``, the one pass over (exponent, pair
-i < j) whose per-index accumulators, keyed by exponent codes,
-``jack.verify_eigen_equations`` tests for zero without unpacking them.
-The kernels run on rational coefficients; ``over_q_kappa``
-lifts the operators to Q(kappa) by running them once at the Kronecker
-point kappa = 2^w on cleared numerators and reading each result back by
-its signed digits.  ``TauContext`` keeps the width-independent data: the
-integer matrices and their column 1-norms.
+accumulators; ``group_action`` wraps it with ``apply_packed``, a proved
+width and one read-back.  ``operators.dunkl_kernel`` uses the same
+packing, and so does ``operators.cherednik_kernel``, the one pass over
+(exponent, pair i < j) whose per-index accumulators, keyed by exponent
+codes, ``jack.verify_eigen_equations`` tests for zero without unpacking
+them.
+The kernels run on integer coefficients.  ``kronecker_pack`` lifts a
+polynomial over Q(kappa) to them: it clears the coefficients once and packs
+the numerators' values at the Kronecker point kappa = 2^w at a proved
+width.  ``apply_packed`` runs a kernel once on that operand and reads each
+packed digit back by its signed base-2^w digits; the eigen check packs
+through the same helper.  ``TauContext`` keeps the width-independent data:
+the integer matrices and their column 1-norms.
 """
 
 from __future__ import annotations
@@ -360,6 +363,8 @@ class VectorPoly:
 
     @staticmethod
     def from_json(obj, shape=None) -> "VectorPoly":
+        """The polynomial of ``to_json``'s list; a ValueError for an exponent
+        that is not a list of nonnegative integers or a zero denominator."""
         from .combinatorics import rsyt_from_contents
 
         terms = {}
@@ -368,13 +373,19 @@ class VectorPoly:
             if shape is None:
                 shape = tableau.shape
             ctx = tau_context(normalize_partition(shape))
+            exp = tuple(item["exp"])
+            if not all(type(e) is int and e >= 0 for e in exp):
+                raise ValueError(f"exponent {list(exp)} is not of nonnegative integers")
             coeff = item["coeff"]
-            if isinstance(coeff, str):
-                p, _, q = coeff.partition("/")
-                value = Fraction(int(p), int(q or 1))
-            else:
-                value = RatFunc.from_json(coeff)
-            key = (tuple(item["exp"]), ctx.index_of(tableau))
+            try:
+                if isinstance(coeff, str):
+                    p, _, q = coeff.partition("/")
+                    value = Fraction(int(p), int(q or 1))
+                else:
+                    value = RatFunc.from_json(coeff)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {coeff!r}") from None
+            key = (exp, ctx.index_of(tableau))
             terms[key] = terms.get(key, 0) + value if key in terms else value
         if shape is None:
             raise ValueError("cannot infer shape from an empty polynomial")
@@ -443,15 +454,6 @@ def signed_digits(value: int, width: int) -> list[int]:
     return out
 
 
-def kronecker_value(num, width: int) -> int:
-    """sum_t num[t] 2^(width t): the integer polynomial num (ascending
-    coefficients) at 2^width."""
-    value = 0
-    for c in reversed(num):
-        value = (value << width) + c
-    return value
-
-
 def unpack(value: int, width: int, dim: int) -> list[tuple[int, int]]:
     """The nonzero signed digits (r, d_r) of value = sum_r d_r 2^(width r),
     each |d_r| < 2^(width - 1), for r < dim.  A ValueError when a residual
@@ -475,55 +477,38 @@ def from_packed(shape, acc: dict, width: int, den: int) -> VectorPoly:
     return VectorPoly(shape, out)
 
 
-def kronecker_lift(p: VectorPoly, factor: int) -> tuple[tuple, int, dict]:
-    """(Q, w, N(K)) for p = N / Q cleared once, N in Z[kappa], and w the
-    width that holds |N| * factor: the Kronecker point K = 2^w of
-    ``over_q_kappa``, whose proof says why K reads S_0 N + kappa S_1 N."""
+def top_exponent(exps) -> int:
+    """The largest entry of any exponent."""
+    return max(map(max, exps), default=0)
+
+
+def kronecker_pack(p: VectorPoly, factor: int, width_factor) -> tuple:
+    """(Q, w, N(K) packed) for p = N / Q cleared once, N in Z[kappa]
+    (coefficients that are not RatFunc are coerced to it): w is the width
+    that holds |N| * factor, K = 2^w is the Kronecker point, and N(K) is
+    packed at the width that holds ||N(K)||_1 * ``width_factor(K)``.
+
+    Proof of the point.  Let a kernel map cleared coefficients c to S c
+    with S = S_0 + kappa S_1 for integer maps S_0 and S_1 free of kappa,
+    every term of S_0 x + S_1 y at most max(||x||_1, ||y||_1) * factor in
+    absolute value.  Evaluation at K is a ring map, so the kernel at K
+    sends N(K) to R(K) for R = S_0 N + kappa S_1 N in Z[kappa].  With |N|
+    the sum of the absolute values of all coefficients of N, the kappa^t
+    plane of R is S_0 N_t + S_1 N_(t-1), so each of its terms R_t is at
+    most |N| * factor in absolute value, which w holds: |R_t| < K / 2, so
+    the R_t are the signed base-K digits of R(K) and ``signed_digits``
+    reads them back exactly.
+    """
     q, numerators = clear_denominators(
         c if isinstance(c, RatFunc) else RatFunc.from_fraction(c)
         for c in p.terms.values()
     )
-    width = packed_width(sum(abs(c) for num in numerators for c in num) * factor)
-    point = {key: kronecker_value(num, width) for key, num in zip(p.terms, numerators)}
-    return q, width, point
-
-
-def over_q_kappa(p: VectorPoly, scale: int, factor: int, kernel) -> VectorPoly:
-    """The image of p over Q(kappa) under a packed kernel, from one run of
-    the kernel at the integer point kappa = K = 2^w; coefficients that are
-    not RatFunc are coerced to it.
-
-    ``kernel(cleared, K)`` maps cleared coefficients (L, integer terms c) to
-    S c / (L * scale), with S = S_0 + K S_1 for integer maps S_0 and S_1
-    free of kappa (S_1 = 0 but for the Dunkl operator over Q(kappa), which
-    runs at kappa = K), and every term of S_0 x + S_1 y is at most
-    max(||x||_1, ||y||_1) * factor in absolute value.
-
-    Proof.  ``kronecker_lift`` clears p = N / Q, N in Z[kappa].  Evaluation
-    at K is a ring map, so scale times the image of N(K) is R(K) for
-    R = S_0 N + kappa S_1 N in Z[kappa], and the image of p is
-    R / (scale * Q).  Let |N| be the sum of the absolute values of all
-    coefficients of N.  The kappa^t plane of R is S_0 N_t + S_1 N_(t-1),
-    so each of its terms R_t is at most |N| * factor in absolute value,
-    which w holds: |R_t| < K / 2, so the R_t are the signed base-K digits
-    of R(K) and ``signed_digits`` reads them back exactly.  Each
-    coefficient is reduced once; a result that scale does not clear is a
-    ValueError.
-    """
-    q, width, point = kronecker_lift(p, factor)
-    den = tuple(scale * c for c in q)
-    out = {}
-    for key, c in kernel((1, point), 1 << width).terms.items():
-        value = c * scale
-        if value.denominator != 1:
-            raise ValueError(f"scale {scale} does not clear the image {c}")
-        out[key] = RatFunc(signed_digits(value.numerator, width), den)
-    return VectorPoly(p.shape, out)
-
-
-def top_exponent(exps) -> int:
-    """The largest entry of any exponent."""
-    return max(map(max, exps), default=0)
+    w = packed_width(sum(abs(c) for num in numerators for c in num) * factor)
+    point = {
+        key: packed_vector(enumerate(num), w) for key, num in zip(p.terms, numerators)
+    }
+    width = packed_width(sum(map(abs, point.values())) * width_factor(1 << w))
+    return q, w, pack(tau_context(p.shape), point, width)
 
 
 def apply_packed(p: VectorPoly, scale: int, factor, kernel, lam=1, generic=False):
@@ -536,25 +521,32 @@ def apply_packed(p: VectorPoly, scale: int, factor, kernel, lam=1, generic=False
     top the largest exponent.  Rational coefficients are cleared to
     integers over L and packed at the width that holds this bound, the
     kernel runs at ``at`` = lam, and one division by L * scale per term
-    ends it.  RatFunc coefficients, and every input when the operator is
-    taken at kappa itself (``generic``, the kernel then runs at the
-    Kronecker point ``at`` = K), go through ``over_q_kappa`` with the
-    factor at lam.
+    ends it.
+
+    RatFunc coefficients, and every input when the operator is taken at
+    kappa itself (``generic``, S_1 != 0 only then), are lifted once by
+    ``kronecker_pack`` with the factor at lam, p = N / Q.  The kernel runs
+    once, at ``at`` = K when generic and at lam otherwise; its digits are
+    scale R(K), each read back by its signed base-K digits into the
+    coefficient R / (scale * Q).
     """
     ctx = tau_context(p.shape)
     top = top_exponent(exp for exp, _ in p.terms)
-
-    def packed(cleared, point=None):
-        at = point if generic else lam
-        den, coeffs = cleared
-        width = packed_width(sum(map(abs, coeffs.values())) * factor(top, at))
-        acc = kernel(pack(ctx, coeffs, width), at)
-        return from_packed(p.shape, acc, width, den * scale)
-
     cleared = None if generic else p.cleared()
-    if cleared is None:
-        return over_q_kappa(p, scale, factor(top, lam), packed)
-    return packed(cleared)
+    if cleared is not None:
+        den, coeffs = cleared
+        width = packed_width(sum(map(abs, coeffs.values())) * factor(top, lam))
+        acc = kernel(pack(ctx, coeffs, width), lam)
+        return from_packed(p.shape, acc, width, den * scale)
+    q, w, packed = kronecker_pack(
+        p, factor(top, lam), lambda point: factor(top, point if generic else lam)
+    )
+    den = tuple(scale * c for c in q)
+    out = {}
+    for exp, value in kernel(packed, (1 << w) if generic else lam).items():
+        for row, d in unpack(value, packed.width, ctx.dim):
+            out[exp, row] = RatFunc(signed_digits(d, w), den)
+    return VectorPoly(p.shape, out)
 
 
 def _permutations(w, n: int) -> list[tuple[int, ...]]:

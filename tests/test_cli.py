@@ -224,6 +224,48 @@ def test_closure_output_is_pinned(m, k, capsys):
     assert tuple(digests) == CLOSURE_SHA256[m, k]
 
 
+# sha256 of the uniq check documents (json, then text) as recorded when
+# the oracle still compared a Fraction spectral vector per candidate
+UNIQ_SHA256 = {
+    "1-2": (
+        "5d9e1cac21862eead241b28008b0fe86c8b32ab2d1af5b7a81ade226f454473a",
+        "dbe52047d576453cf43a4ad99093ceecfbd5d467be1635eea36267e2f9539028",
+    ),
+    "1-3": (
+        "6454d640153912e87dbc99d07667f011b00eac51f138a6c954ec53545e995da5",
+        "e629f3025c4d57bb31e070c23f5550332d608bf4e469e75a975f2b9452f049db",
+    ),
+    "2-2": (
+        "b7ca524db2d26d0897dcafc7d1e2d34c673e61f3a93e3e7728bf8806af135326",
+        "23ff036051f186eb24195f833c44e166ac559cb7f52bfd2f2536d1b2293e26e6",
+    ),
+    "2-2-s1-variant1": (
+        "72c61f5355b26ee81ff7558ee27dbbdcbeb8b92da2e028419ab81f2fda0e67bf",
+        "8e247356ee8c91c6143be2f92befa5da47aff6cd68b115e1bb18e97bd046d5ac",
+    ),
+    "2-2-s1-variant2": (
+        "c4e7fe252c7173b441f80ee49005adc832269f2e7d5dc1fb40d8b6ee1df0387c",
+        "8cbdfe89487d2f3420e070ac0578393ba5bfc9c030862fbd0a2b241f3cdb1377",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIQ_SHA256))
+def test_uniq_check_output_is_pinned(case, capsys):
+    import hashlib
+
+    m, k, *variant = case.split("-")
+    argv = ["uniq", "check", "--m", m, "--k", k]
+    if variant:
+        argv += ["--s", variant[0][1:], "--variant", variant[1][-1]]
+    digests = []
+    for fmt in ("json", "text"):
+        code, out = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == UNIQ_SHA256[case]
+
+
 def test_byte_identical_output(capsys):
     argv = ["--format", "json", "norms", "--m", "1", "--k", "2"]
     _, out1 = run(capsys, *argv)
@@ -532,17 +574,56 @@ def test_apply_operator_index_out_of_range_exits_2(index, tmp_path, capsys):
     assert_usage_error(main(argv), capsys)
 
 
+def _one_term(exp, coeff):
+    return json.dumps({"poly": [{"exp": exp, "tableau": [-1, 0], "coeff": coeff}]})
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, json.dumps({"shape": [2, 2]}), "{not json", "[1, 2]"],
-    ids=["missing_file", "no_poly_key", "not_json", "not_a_document"],
+    [
+        None,
+        json.dumps({"shape": [2, 2]}),
+        "{not json",
+        "[1, 2]",
+        _one_term([-1, 0], "1/1"),
+        _one_term([1.5, 0], "1/1"),
+        _one_term([1, 0], "1/0"),
+        _one_term([1, 0], {"num": ["1"], "den": ["0"]}),
+    ],
+    ids=[
+        "missing_file",
+        "no_poly_key",
+        "not_json",
+        "not_a_document",
+        "negative_exponent",
+        "fractional_exponent",
+        "zero_denominator",
+        "zero_ratfunc_denominator",
+    ],
 )
-def test_apply_operator_bad_input_file_exits_2(content, tmp_path, capsys):
+def test_apply_operator_bad_input_file_exits_2(content, tmp_path):
+    # in a child process under a timeout: a negative exponent once made the
+    # digit read-back loop forever
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content)
-    argv = ["apply-operator", "--op", "dunkl", "--index", "1", "--input", str(path)]
-    assert_usage_error(main(argv), capsys)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    argv = ["-m", "nsjack.cli", "apply-operator", "--op", "dunkl", "--index", "1"]
+    proc = subprocess.run(
+        [sys.executable, *argv, "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nsjack: error: ")
 
 
 def test_apply_operator_top_index_is_in_range(tmp_path, capsys):

@@ -451,30 +451,34 @@ def test_eigen_check_rejects_one_perturbed_coefficient():
     assert eigen_verdicts(forge(jack, VectorPoly(jack.shape, terms))) == (False, False)
 
 
-def spy_kronecker_lift(monkeypatch):
-    """The list of (K, N(K)) that ``verify_eigen_equations`` lifts, one
-    pair per call, from ``vectorpoly.kronecker_lift``."""
+def spy_kronecker_pack(monkeypatch):
+    """The list of (K, N(K), W) that ``verify_eigen_equations`` lifts, one
+    triple per call, from ``vectorpoly.kronecker_pack``: the point, the
+    cleared numerators' values there by term, and the packing width."""
     import nsjack.jack as jack_module
-    from nsjack.vectorpoly import kronecker_lift
+    from nsjack.vectorpoly import kronecker_pack
 
     lifts = []
 
     def spy(*args):
-        q, width, image = kronecker_lift(*args)
-        lifts.append((1 << width, image))
-        return q, width, image
+        q, w, packed = kronecker_pack(*args)
+        image = {
+            (exp, tab): c for exp, entries in packed.groups.items() for tab, c in entries
+        }
+        lifts.append((1 << w, image, packed.width))
+        return q, w, packed
 
-    monkeypatch.setattr(jack_module, "kronecker_lift", spy)
+    monkeypatch.setattr(jack_module, "kronecker_pack", spy)
     return lifts
 
 
 def test_eigen_check_width_follows_the_data(monkeypatch):
     # a coefficient c (kappa - K0) vanishes at the point chosen for the honest
     # member, so a check pinned there would accept; the forged data widen it
-    lifts = spy_kronecker_lift(monkeypatch)
+    lifts = spy_kronecker_pack(monkeypatch)
     jack = family_context(1, 2).members[0].jack
     verify_eigen_equations(jack)
-    ((point, packed),) = lifts
+    ((point, packed, _),) = lifts
     constant = (0,) * len(jack.alpha)  # outside the homogeneous support
     forged = forge(
         jack, jack.poly + VectorPoly.monomial(jack.shape, constant, 0, (KAPPA - point) * 5)
@@ -607,20 +611,14 @@ def test_eigen_check_on_index_subsets_of_a_sum():
 def test_eigen_check_width_holds_every_digit(monkeypatch, m, k):
     # the packed comparison is sound only when W holds every digit
     # R_r(K) of the left side; recompute them at 4 W on a forged member
-    import nsjack.jack as jack_module
     from nsjack.vectorpoly import pack, signed_digits
 
-    widths = []
-    monkeypatch.setattr(
-        jack_module, "pack", lambda *args: widths.append(args[2]) or pack(*args)
-    )
-    lifts = spy_kronecker_lift(monkeypatch)
+    lifts = spy_kronecker_pack(monkeypatch)
     jack = family_context(m, k).members[0].jack
     forged = scaled(jack, next(key for key in jack.poly.terms if key[0] == jack.alpha))
     with pytest.raises(AssertionError):
         verify_eigen_equations(forged)
-    (width,) = widths
-    ((point, image),) = lifts
+    ((point, image, width),) = lifts
     ctx = tau_context(jack.shape)
     wide = pack(ctx, image, 4 * width)
     pairs = spectral_pairs(jack.alpha, jack.tableau)

@@ -1,5 +1,6 @@
 """Brick map, singular families, uniqueness, norms, module maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,34 @@ def test_uniqueness_collision_in_five_variables():
     report = uniqueness_oracle((3, 2, 0, 0, 0), Rsyt([[5, 4, 3], [2], [1]]), Fraction(1, 2))
     assert not report.unique
     assert ((1, 1, 2, 1, 0), t_prime) in report.collisions
+
+
+def test_uniqueness_oracle_matches_the_fraction_enumeration():
+    # every label whose Fraction spectral vector at kappa0 equals the
+    # target's, in enumeration order, at rational, integer and negative
+    # kappa0; a fifth of the random labels collide
+    rng = random.Random(41)
+    collided = 0
+    for shape in [(2, 1), (2, 2), (3, 1, 1), (2, 2, 1)]:
+        tabs = enumerate_rsyt(shape)
+        n = sum(shape)
+        for kappa0 in (Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(-1, 2)):
+            for _ in range(3):
+                beta = tuple(rng.randint(0, 2) for _ in range(n))
+                tableau = rng.choice(tabs)
+                target = spectral_vector_at(beta, tableau, kappa0)
+                expected = [
+                    (gamma, tab)
+                    for gamma in [*compositions_strictly_below(beta), beta]
+                    for tab in tabs
+                    if (gamma, tab) != (beta, tableau)
+                    and spectral_vector_at(gamma, tab, kappa0) == target
+                ]
+                report = uniqueness_oracle(beta, tableau, kappa0)
+                assert list(report.collisions) == expected, (beta, tableau, kappa0)
+                assert report.unique == (not expected)
+                collided += bool(expected)
+    assert collided == 8
 
 
 # -- alpha variants -------------------------------------------------------------
