@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", metavar="FILE", help="write the document here")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
     singular = sub.add_parser("singular", help="singular family verification")
@@ -329,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     mverify.add_argument("--k", type=int, required=True)
     mverify.add_argument("--degree", type=int, default=2)
     mverify.add_argument("--trials", type=int, default=20)
-    # without this flag the global --seed (default 0) stays in effect
-    mverify.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    mverify.add_argument("--seed", type=int, default=0, help="seed for the trials")
     mverify.set_defaults(handler=_cmd_mu_verify)
 
     example = sub.add_parser("example", help="worked examples")

@@ -95,7 +95,7 @@ def dunkl_kernel(i: int, p: Packed, lam: int, scale: int) -> dict:
     """
     columns = [
         (j, packed_columns(cols, p.width, lam, p.used))
-        for j, cols in enumerate(p.ctx.scaled_transpositions(i), 1)
+        for j, cols in enumerate(p.ctx.transpositions(i), 1)
         if cols is not None
     ]
     acc = {}
@@ -261,7 +261,7 @@ def cherednik_kernel(indices, p: Packed, lam: int, mu: int, spectrum=None) -> li
             accs.get(i),
             accs.get(j),
             powers[i - 1] - powers[j - 1],
-            packed_columns(ctx.scaled_transpositions(i)[j - 1], width, lam, p.used),
+            packed_columns(ctx.transpositions(i)[j - 1], width, lam, p.used),
         )
         for i in range(1, n)
         for j in range(i + 1, n + 1)
@@ -365,7 +365,7 @@ def uprime_column(i: int, exp, tab: int, ctx, base: int) -> tuple:
     unit = base ** (i - 1) * dim
     offsets, bs = [], []
     at_exp = {}
-    for j, (q, tcols) in enumerate(zip(exp, ctx.scaled_transpositions(i)), 1):
+    for j, (q, tcols) in enumerate(zip(exp, ctx.transpositions(i)), 1):
         if tcols is None or (q == e and j < i):
             continue  # j = i, or no divided difference and no swap
         tcol = tcols[tab]

@@ -311,9 +311,13 @@ class RatFunc:
 
     @staticmethod
     def from_json(obj) -> "RatFunc":
-        return RatFunc(
-            tuple(int(c) for c in obj["num"]), tuple(int(c) for c in obj["den"])
-        )
+        """The inverse of ``to_json``; a ValueError unless "num" and "den"
+        are lists of ints or integer strings."""
+        num, den = obj["num"], obj["den"]
+        for seq in (num, den):
+            if not isinstance(seq, list) or any(type(c) not in (int, str) for c in seq):
+                raise ValueError(f"coefficients {seq!r} are not a list of integers")
+        return RatFunc(tuple(map(int, num)), tuple(map(int, den)))
 
     def __repr__(self):
         return f"RatFunc({_poly_str(self.num)!r}, {_poly_str(self.den)!r})"

@@ -787,8 +787,11 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
             diff = cv[i - 1] - cv[i]
             # the rescaled family transforms with the seminormal source-side
             # matrices, uniformly across all cases
-            col = sigma_ctx.simple(i)[s_idx]
-            weighted = tuple((r, c * fam.members[r].gamma) for r, c in col)
+            simple = sigma_ctx.simple(i)
+            weighted = tuple(
+                (r, Fraction(c, simple.d) * fam.members[r].gamma)
+                for r, c in simple.columns[s_idx]
+            )
             rhs_full = VectorPoly.zero(fam.tau)
             for row, c in weighted:
                 rhs_full = rhs_full + fam.members[row].specialized.scale(c)

@@ -25,14 +25,15 @@ the numerators' values at the Kronecker point kappa = 2^w at a proved
 width.  ``apply_packed`` runs a kernel once on that operand and reads each
 packed digit back by its signed base-2^w digits; the eigen check packs
 through the same helper.  ``TauContext`` keeps the width-independent data:
-the integer matrices and their column 1-norms.
+each seminormal matrix once, as a ``Seminormal`` record of integer columns
+over their least common denominator with the largest column 1-norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -57,20 +58,37 @@ class ShapeMismatch(ValueError):
 # seminormal action on the tableau span
 # ---------------------------------------------------------------------------
 
-Matrix = dict  # column index -> tuple of (row index, Fraction)
+
+class Seminormal(NamedTuple):
+    """The seminormal matrix of one permutation as integers over its least
+    common denominator d: column t holds the entries (row, c) of c / d, and
+    ``norm`` is the largest column 1-norm of the integer columns."""
+
+    columns: tuple
+    d: int
+    norm: int
+
+
+def _seminormal(columns: list, d: int) -> Seminormal:
+    """The record of the matrix with integer columns over d, with the gcd of
+    the entries and d divided out, which leaves d least."""
+    g = gcd(d, *(c for col in columns for _, c in col))
+    columns = tuple(tuple((row, c // g) for row, c in col) for col in columns)
+    norm = max(sum(abs(c) for _, c in col) for col in columns)
+    return Seminormal(columns, d // g, norm)
 
 
 class TauContext:
-    """Cached seminormal matrices for one shape.
+    """The seminormal matrices of one shape, each kept once as a
+    ``Seminormal`` record of integers over its denominator.
 
-    Matrices are stored column-sparse; ``matrix(w)`` composes the cached
-    simple-reflection matrices along a fixed word for ``w`` (any word yields
-    the same matrix since the generators satisfy the braid relations).  The
-    operator kernels use integer forms: ``scaled_matrix(w)`` over the lcm of
-    its denominators, and ``scaled_transpositions(i)``, the transpositions
-    (i j) over ``denominator``, the one D shared by all transpositions (1296
-    for (2,2,2,2)).  The kernels' digit bounds read the largest column
-    1-norms from ``scaled_norm(w)`` and ``spread(i)``, cached per shape.
+    ``simple(i)`` builds the record of s_i from the degree-zero rules, and
+    ``matrix(w)`` composes these along ``descent_word(w)`` in integers (any
+    word yields the same matrix since the generators satisfy the braid
+    relations); both are cached per permutation.  The operator kernels read
+    ``transpositions(i)``, the transpositions (i j) over ``denominator``,
+    the one D shared by all transpositions (1296 for (2,2,2,2)), and their
+    digit bounds read the records' norms, summed over j by ``spread(i)``.
     """
 
     def __init__(self, shape):
@@ -79,71 +97,58 @@ class TauContext:
         self.tableaux = enumerate_rsyt(self.shape)
         self.index = rsyt_index(self.shape)
         self.dim = len(self.tableaux)
-        self._simple: dict[int, Matrix] = {}
-        self._words: dict[tuple, Matrix] = {}
-        self._scaled: dict[tuple, tuple[tuple, int]] = {}
-        self._norms: dict[tuple, int] = {}
-        self._scaled_rows: dict[int, tuple] = {}
-        self._spreads: dict[int, int] = {}
+        self._words: dict[tuple, Seminormal] = {}
+        self._transpositions: dict[int, tuple] = {}
         self._denominator: int | None = None
 
     def index_of(self, tableau: Rsyt) -> int:
         return self.index[tableau.content_vector()]
 
-    def simple(self, i: int) -> Matrix:
-        """Matrix of the simple reflection swapping i, i+1."""
-        if i in self._simple:
-            return self._simple[i]
-        cols = {}
-        for t, tab in enumerate(self.tableaux):
-            ri, ci = tab.cell(i)
-            rj, cj = tab.cell(i + 1)
-            if ri == rj:
-                cols[t] = ((t, Fraction(1)),)
-            elif ci == cj:
-                cols[t] = ((t, Fraction(-1)),)
-            else:
-                b = Fraction(1, (ci - ri) - (cj - rj))
+    def simple(self, i: int) -> Seminormal:
+        """The simple reflection swapping i, i+1, by the degree-zero rules.
+        With g the content of i less that of i+1 and b = 1/g = g/g^2, it
+        sends a tableau T to b T, plus 1 (b > 0) or 1 - b^2 = (g^2 - 1)/g^2
+        times T with i, i+1 swapped when that is a tableau, all over the lcm
+        of the g^2.  That is +1 (g = 1) when i, i+1 share a row and -1
+        (g = -1) when they share a column; otherwise |g| >= 2."""
+        w = transposition(self.n, i, i + 1)
+        if w in self._words:
+            return self._words[w]
+        gaps = []
+        for tab in self.tableaux:
+            (ri, ci), (rj, cj) = tab.cell(i), tab.cell(i + 1)
+            gaps.append((ci - ri) - (cj - rj))
+        d = lcm(*(g * g for g in gaps))
+        cols = []
+        for t, (tab, g) in enumerate(zip(self.tableaux, gaps)):
+            f = d // (g * g)
+            col = ((t, g * f),)
+            if abs(g) > 1:
                 other = self.index[Rsyt(tab.swap_entries(i)).content_vector()]
-                if b > 0:
-                    cols[t] = ((t, b), (other, Fraction(1)))
-                else:
-                    cols[t] = ((t, b), (other, 1 - b * b))
-        self._simple[i] = cols
-        return cols
+                col += ((other, d if g > 0 else d - f),)
+            cols.append(col)
+        record = self._words[w] = _seminormal(cols, d)
+        return record
 
-    def matrix(self, w) -> Matrix:
-        """Matrix of an arbitrary permutation (one-line form)."""
+    def matrix(self, w) -> Seminormal:
+        """The matrix of an arbitrary permutation (one-line form)."""
         w = tuple(w)
         if w in self._words:
             return self._words[w]
-        word = descent_word(w)
-        out = {t: ((t, Fraction(1)),) for t in range(self.dim)}
-        for a in reversed(word):
-            out = _compose(self.simple(a), out)
-        self._words[w] = out
-        return out
-
-    def scaled_matrix(self, w) -> tuple[tuple, int]:
-        """(columns, d): d times the matrix of w, with integer entries, where
-        d is the least common denominator of its entries."""
-        w = tuple(w)
-        if w not in self._scaled:
-            mat = self.matrix(w)
-            d = lcm(*(c.denominator for col in mat.values() for _, c in col))
-            cols = tuple(
-                tuple((row, int(c * d)) for row, c in mat[t]) for t in range(self.dim)
-            )
-            self._scaled[w] = (cols, d)
-        return self._scaled[w]
-
-    def scaled_norm(self, w) -> int:
-        """The largest column 1-norm of ``scaled_matrix(w)``."""
-        w = tuple(w)
-        norm = self._norms.get(w)
-        if norm is None:
-            norm = self._norms[w] = column_norm(self.scaled_matrix(w)[0])
-        return norm
+        cols, d = [((t, 1),) for t in range(self.dim)], 1
+        for a in reversed(descent_word(w)):
+            s = self.simple(a)
+            d *= s.d
+            out = []
+            for col in cols:
+                acc = {}
+                for mid, c2 in col:
+                    for row, c1 in s.columns[mid]:
+                        acc[row] = acc.get(row, 0) + c1 * c2
+                out.append(tuple((r, c) for r, c in acc.items() if c))
+            cols = out
+        record = self._words[w] = _seminormal(cols, d)
+        return record
 
     @property
     def denominator(self) -> int:
@@ -151,49 +156,35 @@ class TauContext:
         if self._denominator is None:
             self._denominator = lcm(
                 *(
-                    self.scaled_matrix(transposition(self.n, i, j))[1]
+                    self.matrix(transposition(self.n, i, j)).d
                     for i in range(1, self.n)
                     for j in range(i + 1, self.n + 1)
                 )
             )
         return self._denominator
 
-    def scaled_transpositions(self, i: int) -> tuple:
+    def transpositions(self, i: int) -> tuple:
         """For j = 1..n, the columns of D times the matrix of (i j), with
         integer entries, in one tuple; None at j = i."""
-        row = self._scaled_rows.get(i)
+        row = self._transpositions.get(i)
         if row is None:
             row = []
             for j in range(1, self.n + 1):
                 if j == i:
                     row.append(None)
                     continue
-                cols, d = self.scaled_matrix(transposition(self.n, i, j))
-                f = self.denominator // d
+                record = self.matrix(transposition(self.n, i, j))
+                f = self.denominator // record.d
+                cols = record.columns
                 row.append(tuple(tuple((r, c * f) for r, c in col) for col in cols))
-            row = self._scaled_rows[i] = tuple(row)
+            row = self._transpositions[i] = tuple(row)
         return row
 
     def spread(self, i: int) -> int:
         """The sum over j != i of the largest column 1-norm of D tau(ij)."""
-        total = self._spreads.get(i)
-        if total is None:
-            total = self._spreads[i] = sum(
-                map(column_norm, filter(None, self.scaled_transpositions(i)))
-            )
-        return total
-
-
-def _compose(m1: Matrix, m2: Matrix) -> Matrix:
-    """Column-sparse product m1 . m2."""
-    out = {}
-    for col, entries in m2.items():
-        acc = {}
-        for mid, c2 in entries:
-            for row, c1 in m1[mid]:
-                acc[row] = acc.get(row, 0) + c1 * c2
-        out[col] = tuple((r, c) for r, c in acc.items() if c)
-    return out
+        n, big_d = self.n, self.denominator
+        perms = (transposition(n, i, j) for j in range(1, n + 1) if j != i)
+        return sum(big_d // r.d * r.norm for r in map(self.matrix, perms))
 
 
 @lru_cache(maxsize=None)
@@ -204,8 +195,8 @@ def tau_context(shape: tuple[int, ...]) -> TauContext:
 def tau_action(w, tab_index: int, shape) -> dict[int, Fraction]:
     """Image of a basis tableau under the seminormal action of w, as a
     mapping from basis index to coefficient."""
-    ctx = tau_context(normalize_partition(shape))
-    return dict(ctx.matrix(tuple(w))[tab_index])
+    record = tau_context(normalize_partition(shape)).matrix(w)
+    return {row: Fraction(c, record.d) for row, c in record.columns[tab_index]}
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +355,16 @@ class VectorPoly:
     @staticmethod
     def from_json(obj, shape=None) -> "VectorPoly":
         """The polynomial of ``to_json``'s list; a ValueError for an exponent
-        that is not a list of nonnegative integers or a zero denominator."""
+        that is not a list of nonnegative integers, tableau contents that are
+        not integers, or a zero denominator."""
         from .combinatorics import rsyt_from_contents
 
         terms = {}
         for item in obj:
-            tableau = rsyt_from_contents(tuple(item["tableau"]))
+            contents = tuple(item["tableau"])
+            if not all(type(c) is int for c in contents):
+                raise ValueError(f"tableau contents {list(contents)} are not integers")
+            tableau = rsyt_from_contents(contents)
             if shape is None:
                 shape = tableau.shape
             ctx = tau_context(normalize_partition(shape))
@@ -420,11 +415,6 @@ def packed_vector(entries, width: int) -> int:
     """The tableau entries [(r, c_r)] of one exponent as the one integer
     sum_r c_r 2^(width r)."""
     return sum(c << (width * tab) for tab, c in entries)
-
-
-def column_norm(cols) -> int:
-    """The largest column 1-norm of an integer matrix given by columns."""
-    return max((sum(abs(c) for _, c in col) for col in cols), default=0)
 
 
 def packed_columns(cols, width: int, scale: int, used) -> dict[int, int]:
@@ -571,16 +561,17 @@ def _mover(v):
 
 
 def action_factor(ctx: TauContext, perms, scale: int) -> int:
-    """sum_v (scale / d_v) A_v, A_v = ``ctx.scaled_norm(v)`` the largest
-    column 1-norm of d_v tau(v): ``action_kernel`` at ``scale`` sends a term
-    of coefficient c at most |c| times this into the output digits."""
-    return sum(scale // ctx.scaled_matrix(v)[1] * ctx.scaled_norm(v) for v in perms)
+    """sum_v (scale / d_v) A_v, A_v the largest column 1-norm of d_v tau(v)
+    (the ``norm`` of ``ctx.matrix(v)``): ``action_kernel`` at ``scale``
+    sends a term of coefficient c at most |c| times this into the output
+    digits."""
+    return sum(scale // r.d * r.norm for r in map(ctx.matrix, perms))
 
 
 def action_kernel(perms, p: Packed, scale: int, acc: dict) -> dict:
     """Add scale * sum_v v(p) to the packed accumulators acc (exponent ->
-    sum_r d_r 2^(width r)) and return acc; each d_v of
-    ``ctx.scaled_matrix(v)`` must divide scale.
+    sum_r d_r 2^(width r)) and return acc; each denominator d_v of
+    ``ctx.matrix(v)`` must divide scale.
 
     The image of a basis tableau under (scale / d_v) d_v tau(v) is one
     packed column, so an exponent costs one sum of coefficient-times-column
@@ -589,8 +580,8 @@ def action_kernel(perms, p: Packed, scale: int, acc: dict) -> dict:
     the digits back needs them to fit the width (``action_factor``).
     """
     for v in perms:
-        cols, dv = p.ctx.scaled_matrix(v)
-        columns = packed_columns(cols, p.width, scale // dv, p.used)
+        record = p.ctx.matrix(v)
+        columns = packed_columns(record.columns, p.width, scale // record.d, p.used)
         move = _mover(v)
         for exp, entries in p.groups.items():
             key = move(exp)
@@ -619,7 +610,7 @@ def group_action(w, p: VectorPoly) -> VectorPoly:
     """
     ctx = tau_context(p.shape)
     perms = _permutations(w, p.n)
-    d = lcm(*(ctx.scaled_matrix(v)[1] for v in perms))
+    d = lcm(*(ctx.matrix(v).d for v in perms))
     factor = action_factor(ctx, perms, d)
     return apply_packed(
         p,
@@ -634,9 +625,11 @@ def leading_vector(alpha, tableau: Rsyt) -> VectorPoly:
     triangular leading term of the Jack polynomial labelled (alpha, T)."""
     ctx = tau_context(tableau.shape)
     r_inv = perm_inverse(rank_permutation(alpha))
-    col = ctx.matrix(r_inv)[ctx.index_of(tableau)]
-    one = RatFunc.from_int(1)
+    record = ctx.matrix(r_inv)
     return VectorPoly(
         tableau.shape,
-        {(tuple(alpha), row): one * c for row, c in col},
+        {
+            (tuple(alpha), row): RatFunc.from_fraction(Fraction(c, record.d))
+            for row, c in record.columns[ctx.index_of(tableau)]
+        },
     )

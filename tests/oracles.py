@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-from nsjack.combinatorics import enumerate_rsyt, transposition
+from nsjack.combinatorics import Rsyt, descent_word, enumerate_rsyt, transposition
 from nsjack.jack import spectral_vector_at
 from nsjack.operators import cherednik_prime, dunkl
 from nsjack.ratfunc import KAPPA, RatFunc
@@ -175,6 +175,47 @@ def eigensolve_jack(alpha, tableau, kappa0) -> VectorPoly:
 
 
 # ---------------------------------------------------------------------------
+# seminormal matrices in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def seminormal_fractions(shape, w):
+    """The seminormal matrix of w as Fraction columns {row: c}, composed
+    along ``descent_word(w)`` from the degree-zero rules: s_i fixes a
+    tableau with i, i+1 in one row, negates it with them in one column, and
+    otherwise sends it to b T + (1 if b > 0 else 1 - b^2) T', with b = 1/g
+    for the content gap g of i and i+1 and T' the tableau with them
+    swapped."""
+    tableaux = enumerate_rsyt(shape)
+    index = {tab.content_vector(): t for t, tab in enumerate(tableaux)}
+
+    def simple(i):
+        cols = []
+        for t, tab in enumerate(tableaux):
+            (ri, ci), (rj, cj) = tab.cell(i), tab.cell(i + 1)
+            if ri == rj or ci == cj:
+                cols.append({t: Fraction(1 if ri == rj else -1)})
+            else:
+                b = Fraction(1, (ci - ri) - (cj - rj))
+                other = index[Rsyt(tab.swap_entries(i)).content_vector()]
+                cols.append({t: b, other: 1 if b > 0 else 1 - b * b})
+        return cols
+
+    out = [{t: Fraction(1)} for t in range(len(tableaux))]
+    for a in reversed(descent_word(w)):
+        s = simple(a)
+        composed = []
+        for col in out:
+            acc = {}
+            for mid, c2 in col.items():
+                for row, c1 in s[mid].items():
+                    acc[row] = acc.get(row, 0) + c1 * c2
+            composed.append({r: c for r, c in acc.items() if c})
+        out = composed
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference formulas for the packed operator kernels, term by term over any
 # coefficient ring (int, Fraction or RatFunc, mixed)
 # ---------------------------------------------------------------------------
@@ -187,14 +228,14 @@ def _add_term(acc, key, value):
 def group_action_fractions(w, p):
     """w(p) term by term: tau(w) on the tableau and
     (w.exp)_i = exp_{w^{-1}(i)} on the exponent."""
-    mat = tau_context(p.shape).matrix(tuple(w))
+    record = tau_context(p.shape).matrix(w)
     acc = {}
     for (exp, tab), coeff in p.terms.items():
         new_exp = [0] * len(exp)
         for i, a in enumerate(exp):
             new_exp[w[i] - 1] = a
-        for row, c in mat[tab]:
-            _add_term(acc, (tuple(new_exp), row), c * coeff)
+        for row, c in record.columns[tab]:
+            _add_term(acc, (tuple(new_exp), row), Fraction(c, record.d) * coeff)
     return VectorPoly(p.shape, {k: v for k, v in acc.items() if v})
 
 
@@ -228,8 +269,10 @@ def dunkl_fractions(i, p, kappa0=KAPPA):
                 mono = list(exp)
                 mono[i - 1] = lo + t
                 mono[j - 1] = hi - 1 - t
-                for row, c in ctx.matrix(transposition(p.n, i, j))[tab]:
-                    _add_term(acc, (tuple(mono), row), kappa0 * coeff * sign * c)
+                record = ctx.matrix(transposition(p.n, i, j))
+                for row, c in record.columns[tab]:
+                    term = kappa0 * coeff * sign * Fraction(c, record.d)
+                    _add_term(acc, (tuple(mono), row), term)
     return VectorPoly(p.shape, {k: v for k, v in acc.items() if v})
 
 

@@ -75,6 +75,21 @@ def test_mu_verify_cli_seeded(capsys):
     assert doc["seed"] == 3 and doc["all_commute"]
 
 
+def test_mu_verify_seed_defaults_to_0(capsys):
+    code, out = run(
+        capsys,
+        "--format", "json",
+        "mu", "verify", "--m", "1", "--k", "2", "--degree", "1", "--trials", "2",
+    )
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+def test_seed_is_an_option_of_mu_verify_only():
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "3", "example", "n5"])
+    assert exc.value.code == 2
+
+
 def test_brickmap_cli(tmp_path, capsys):
     path = tmp_path / "tableau.json"
     path.write_text(json.dumps([[8, 6, 5, 2], [7, 4, 3, 1]]))
@@ -574,8 +589,10 @@ def test_apply_operator_index_out_of_range_exits_2(index, tmp_path, capsys):
     assert_usage_error(main(argv), capsys)
 
 
-def _one_term(exp, coeff):
-    return json.dumps({"poly": [{"exp": exp, "tableau": [-1, 0], "coeff": coeff}]})
+def _one_term(exp, coeff, tableau=(-1, 0)):
+    return json.dumps(
+        {"poly": [{"exp": exp, "tableau": list(tableau), "coeff": coeff}]}
+    )
 
 
 @pytest.mark.parametrize(
@@ -589,6 +606,10 @@ def _one_term(exp, coeff):
         _one_term([1.5, 0], "1/1"),
         _one_term([1, 0], "1/0"),
         _one_term([1, 0], {"num": ["1"], "den": ["0"]}),
+        _one_term([1, 0], {"num": [1.5], "den": ["1"]}),
+        _one_term([1, 0], {"num": "12", "den": "1"}),
+        _one_term([1, 0], {"num": [True], "den": ["1"]}),
+        _one_term([1, 0], "1/1", tableau=(-1.0, 0.0)),
     ],
     ids=[
         "missing_file",
@@ -599,6 +620,10 @@ def _one_term(exp, coeff):
         "fractional_exponent",
         "zero_denominator",
         "zero_ratfunc_denominator",
+        "float_ratfunc_digit",
+        "string_ratfunc_digits",
+        "bool_ratfunc_digit",
+        "float_tableau_contents",
     ],
 )
 def test_apply_operator_bad_input_file_exits_2(content, tmp_path):

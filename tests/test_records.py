@@ -80,7 +80,7 @@ def install_guards(monkeypatch, uses: list) -> None:
 
 def test_the_records_are_the_named_tuples():
     names = {cls.__name__ for cls in record_classes()}
-    assert len(names) == 16  # 15 result records and vectorpoly.Packed
+    assert len(names) == 17  # 15 result records, vectorpoly.Packed and Seminormal
     assert {"JackPolynomial", "FamilyMember", "PairTableau", "Packed"} <= names
 
 

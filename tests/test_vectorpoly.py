@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,15 +16,17 @@ from nsjack.vectorpoly import (
     tau_context,
 )
 
+from oracles import seminormal_fractions
+
 SHAPES = [(2, 2), (3, 1), (2, 1, 1), (4, 4), (2, 2, 2, 2), (3, 1, 1), (1, 1, 1, 1)]
 
 
 def full_matrix(ctx, w):
-    mat = ctx.matrix(w)
+    record = ctx.matrix(w)
     out = [[Fraction(0)] * ctx.dim for _ in range(ctx.dim)]
-    for col, entries in mat.items():
+    for col, entries in enumerate(record.columns):
         for row, c in entries:
-            out[row][col] = c
+            out[row][col] = Fraction(c, record.d)
     return out
 
 
@@ -50,6 +53,32 @@ def test_tau_simple_reflection_golden():
     # entries 2,3 in different row and column: two-term rule with b = -1/2
     image = tau_action(transposition(4, 2, 3), t, (2, 2))
     assert image == {t: Fraction(-1, 2), t2: Fraction(3, 4)}
+
+
+def test_integer_matrices_match_a_fraction_composition():
+    # every transposition and 20 seeded permutations per shape: the integer
+    # columns over d equal the Fraction composition, d is least, and the
+    # norm is the largest column 1-norm
+    rng = random.Random(0)
+    for shape in SHAPES:
+        ctx = tau_context(shape)
+        n = ctx.n
+        perms = [
+            transposition(n, i, j) for i in range(1, n) for j in range(i + 1, n + 1)
+        ]
+        perms += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(20)]
+        for w in perms:
+            record = ctx.matrix(w)
+            got = [{r: Fraction(c, record.d) for r, c in col} for col in record.columns]
+            assert got == seminormal_fractions(shape, w), (shape, w)
+            assert gcd(record.d, *(c for col in record.columns for _, c in col)) == 1
+            assert record.norm == max(
+                sum(abs(c) for _, c in col) for col in record.columns
+            )
+
+
+def test_transposition_denominator_at_six_rows():
+    assert tau_context((2, 2, 2, 2, 2, 2)).denominator == 4199040000
 
 
 def test_tau_squares_to_identity():
