@@ -13,7 +13,6 @@ from .combinatorics import (
     brick_stack_target,
     compare_order,
     compositions_strictly_below,
-    distinguished_tableaux,
     enumerate_rsyt,
     inv_statistic,
     layer_composition,
@@ -59,6 +58,6 @@ from .singular import (
     singular_family,
     uniqueness_oracle,
 )
-from .vectorpoly import ShapeMismatch, VectorPoly, group_action, tau_action
+from .vectorpoly import ShapeMismatch, VectorPoly, group_action
 
 __version__ = "0.1.0"

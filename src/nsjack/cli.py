@@ -128,16 +128,18 @@ def _cmd_uniq_check(args):
     t0 = brick_stack_target(args.m, args.k)
     kappa0 = Fraction(1, args.m + 2)
     if args.s is None:
+        if args.variant is not None:
+            raise UsageError("--variant selects a swapped label and needs --s")
         beta = layer_composition(args.m, args.k)
         doc_extra = {}
     else:
         variants = alpha_variants(args.m, args.k, args.s)
-        beta = variants.variant1 if args.variant == 1 else variants.variant2
+        name = f"variant{args.variant or 1}"
+        beta = getattr(variants, name)
         doc_extra = {
             "window": list(variants.window(beta)),
             "spectral_window": [
-                format_rational(v)
-                for v in variants.spectral_window(f"variant{args.variant}")
+                format_rational(v) for v in variants.spectral_window(name)
             ],
         }
     report = uniqueness_oracle(beta, t0, kappa0)
@@ -169,13 +171,12 @@ def _cmd_norms(args):
 
 
 def _cmd_mu_verify(args):
-    report = mu_commutation_check(
-        args.m, args.k, degree=args.degree, trials=args.trials, seed=args.seed
-    )
+    report = mu_commutation_check(args.m, args.k)
     doc = report.to_json()
     text = (
-        f"module map commutation: m={args.m} k={args.k} degree<={args.degree} "
-        f"trials={args.trials} seed={args.seed}: {report.checks} checks passed"
+        f"module map m={args.m} k={args.k} kappa={doc['kappa']}: commutes in "
+        f"every degree, from {report.dunkl_images} zero Dunkl images and "
+        f"{report.transports} transports"
     )
     return 0, doc, text
 
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--m", type=int, required=True)
     check.add_argument("--k", type=int, required=True)
     check.add_argument("--s", type=int, default=None)
-    check.add_argument("--variant", type=int, choices=(1, 2), default=1)
+    check.add_argument("--variant", type=int, choices=(1, 2), help="needs --s")
     check.set_defaults(handler=_cmd_uniq_check)
 
     norms = sub.add_parser("norms", help="norms and gamma factors")
@@ -326,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     mverify = msub.add_parser("verify")
     mverify.add_argument("--m", type=int, required=True)
     mverify.add_argument("--k", type=int, required=True)
-    mverify.add_argument("--degree", type=int, default=2)
-    mverify.add_argument("--trials", type=int, default=20)
-    mverify.add_argument("--seed", type=int, default=0, help="seed for the trials")
     mverify.set_defaults(handler=_cmd_mu_verify)
 
     example = sub.add_parser("example", help="worked examples")

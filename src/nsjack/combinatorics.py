@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 
 class NoSuchTableau(ValueError):
@@ -570,46 +569,3 @@ def brick_of(row: int, col: int, m: int, shape) -> int:
 def _check_brick_params(m: int, k: int):
     if m < 1 or k < 2:
         raise BadShapeParams(f"need m >= 1 and k >= 2, got m={m}, k={k}")
-
-
-class DistinguishedTableaux(NamedTuple):
-    source_max: Rsyt
-    target_stack: Rsyt
-    layers: tuple[int, ...]
-    swapped: dict  # (j, n) -> ColumnStrictTableau, n = m*s for 1 <= s <= k-1
-
-
-def distinguished_tableaux(m: int, k: int) -> DistinguishedTableaux:
-    _check_brick_params(m, k)
-    swapped = {
-        (j, m * s): swapped_inv_max(m * k, j, m * s)
-        for s in range(1, k)
-        for j in (1, 2)
-    }
-    return DistinguishedTableaux(
-        source_max=max_inv_source(m, k),
-        target_stack=brick_stack_target(m, k),
-        layers=layer_composition(m, k),
-        swapped=swapped,
-    )
-
-
-def enumerate_one_swap_class(num_cols: int, j: int, n: int) -> tuple:
-    """All column-strict tableaux one row-swap (at row j, columns n, n+1)
-    away from an RSYT of the two-row rectangle."""
-    out = []
-    for t in enumerate_rsyt((num_cols, num_cols)):
-        rows = [list(r) for r in t.rows]
-        rows[j - 1][n - 1], rows[j - 1][n] = rows[j - 1][n], rows[j - 1][n - 1]
-        try:
-            out.append(ColumnStrictTableau(rows))
-        except ValueError:
-            continue
-    return tuple(out)
-
-
-def catalan(n: int) -> int:
-    num = 1
-    for i in range(n):
-        num = num * (2 * n - i) // (i + 1)
-    return num // (n + 1)

@@ -5,8 +5,9 @@ width m, every RSYT of the two-row shape maps to a label (composition,
 stacked tableau) whose Jack polynomial specializes without poles at
 kappa = n/(m+2), is killed by every Dunkl operator there, and carries the
 source tableau as its isotype.  This module constructs the family, certifies
-those properties exactly, and builds the associated module map and its
-reverse, together with exhaustive uniqueness oracles.
+those properties exactly, certifies (not samples) that the associated module
+map commutes with x_i, s_i and D_i, builds its reverse, and runs exhaustive
+uniqueness oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-import random
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -586,78 +586,48 @@ def mu_map(g: VectorPoly, m: int, k: int) -> VectorPoly:
     return out
 
 
-def random_source_polynomial(rng: random.Random, m: int, k: int, degree: int):
-    """Sparse random element of the two-row module with small Fraction
-    coefficients; used by the seeded commutation trials."""
-    sigma = (m * k, m * k)
-    dim = len(enumerate_rsyt(sigma))
-    n = 2 * m * k
-    terms = {}
-    for _ in range(4):
-        total = rng.randint(0, degree)
-        exp = [0] * n
-        for _ in range(total):
-            exp[rng.randrange(n)] += 1
-        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        if coeff:
-            key = (tuple(exp), rng.randrange(dim))
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-    return VectorPoly(sigma, {k_: v for k_, v in terms.items() if v})
-
-
 class MuCommutationReport(NamedTuple):
     m: int
     k: int
-    degree: int
-    trials: int
-    seed: int
-    checks: int
+    kappa0: Fraction
+    dunkl_images: int
+    transports: int
 
     def to_json(self) -> dict:
         return {
             "m": self.m,
             "k": self.k,
-            "degree": self.degree,
-            "trials": self.trials,
-            "seed": self.seed,
-            "checks": self.checks,
+            "kappa": format_rational(self.kappa0),
+            "dunkl_images": self.dunkl_images,
+            "transports": self.transports,
             "all_commute": True,
         }
 
 
-def mu_commutation_check(
-    m: int, k: int, degree: int = 2, trials: int = 20, seed: int = 0
-) -> MuCommutationReport:
-    """Seeded exact verification that the module map commutes with every
-    coordinate multiplication, simple reflection, and Dunkl operator;
-    BadParams for a negative degree or fewer than one trial, which would
-    certify nothing."""
-    if degree < 0 or trials < 1:
-        raise BadParams(f"need degree >= 0 and trials >= 1, got {degree}, {trials}")
-    fam = family_context(m, k)
-    rng = random.Random(seed)
-    n = 2 * m * k
-    checks = 0
-    for _ in range(trials):
-        g = random_source_polynomial(rng, m, k, degree)
-        mu_g = mu_map(g, m, k)
-        for i in range(1, n + 1):
-            e_i = tuple(int(t == i - 1) for t in range(n))
-            if mu_map(g.mul_monomial(e_i), m, k) != mu_g.mul_monomial(e_i):
-                raise ClosureViolation(f"mu fails to commute with x_{i}")
-            checks += 1
-        for i in range(1, n):
-            w = transposition(n, i, i + 1)
-            if mu_map(group_action(w, g), m, k) != group_action(w, mu_g):
-                raise ClosureViolation(f"mu fails to commute with s_{i}")
-            checks += 1
-        for i in range(1, n + 1):
-            lhs = mu_map(dunkl(i, g, fam.kappa0), m, k)
-            rhs = dunkl(i, mu_g, fam.kappa0)
-            if lhs != rhs:
-                raise ClosureViolation(f"mu fails to commute with D_{i}")
-            checks += 1
-    return MuCommutationReport(m, k, degree, trials, seed, checks)
+def mu_commutation_check(m: int, k: int) -> MuCommutationReport:
+    """Prove that ``mu_map`` commutes with every x_i, s_i and D_i in every
+    degree, from the family's two certificates at kappa0 = 1/(m+2); counts
+    their zero Dunkl images and transports, and raises what they raise.
+
+    (a) mu(f (x) S) = f gamma_S J_S commutes with each x_i by definition,
+    because mu is P-linear.
+    (b) mu is S_N-equivariant in every degree iff it is equivariant in
+    degree 0 for the simple reflections, i.e. iff gamma_S s_i J_S =
+    sum_R sigma(s_i)_{R,S} gamma_R J_R for every (S, i): the "matrix
+    transport" check of ``closure_check``.  The s_i generate S_N, and
+    w(f q) = (w f)(w q), so mu(w(f (x) S)) = (w f) mu(sigma(w) S) = w mu(f (x) S).
+    (c) With dd_ij(f) = (f - s_ij f) / (x_i - x_j), the product rule is
+    D_i(f J) = (d_i f) J + f D_i J + kappa sum_{j != i} dd_ij(f) s_ij J, and
+    on the source D_i(f (x) S) = (d_i f) (x) S + kappa sum_{j != i}
+    dd_ij(f) sigma(s_ij) S.  So with D_i J_S = 0, which ``singular_family``
+    checks, D_i mu = mu D_i follows from (a) and (b).
+
+    Neither certificate suffices alone: a family with one member or its
+    gamma scaled is still singular, but breaks a transport."""
+    cert, closure = singular_family(m, k), closure_check(m, k)
+    images = sum(len(record["dunkl_images"]) for record in cert.members)
+    transports = sum(closure.case_counts.values())
+    return MuCommutationReport(m, k, cert.kappa0, images, transports)
 
 
 class ReverseMapReport(NamedTuple):
@@ -667,22 +637,6 @@ class ReverseMapReport(NamedTuple):
     # one (tableau contents, poly, singular, isotype contents) per RSYT T of
     # tau = (m^{2k}): #RSYT(tau) entries, 1 for (1,2) and 14 for (2,2)
     components: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "kappa": format_rational(self.kappa0),
-            "components": [
-                {
-                    "tableau": list(contents),
-                    "singular": singular,
-                    "isotype": list(isotype),
-                    "polynomial": poly.to_json(),
-                }
-                for contents, poly, singular, isotype in self.components
-            ],
-        }
 
 
 def reverse_map_qT(m: int, k: int) -> ReverseMapReport:

@@ -192,13 +192,6 @@ def tau_context(shape: tuple[int, ...]) -> TauContext:
     return TauContext(shape)
 
 
-def tau_action(w, tab_index: int, shape) -> dict[int, Fraction]:
-    """Image of a basis tableau under the seminormal action of w, as a
-    mapping from basis index to coefficient."""
-    record = tau_context(normalize_partition(shape)).matrix(w)
-    return {row: Fraction(c, record.d) for row, c in record.columns[tab_index]}
-
-
 # ---------------------------------------------------------------------------
 # sparse vector-valued polynomials
 # ---------------------------------------------------------------------------

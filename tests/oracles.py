@@ -2,16 +2,38 @@
 simultaneous-eigenvector solve for Jack polynomials at fixed rational
 parameter values.  These deliberately avoid the projection constructor."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
+from typing import NamedTuple
 
-from nsjack.combinatorics import Rsyt, descent_word, enumerate_rsyt, transposition
+from nsjack.combinatorics import (
+    BadShapeParams,
+    ColumnStrictTableau,
+    Rsyt,
+    brick_stack_target,
+    descent_word,
+    enumerate_rsyt,
+    layer_composition,
+    max_inv_source,
+    normalize_partition,
+    swapped_inv_max,
+    transposition,
+)
 from nsjack.jack import spectral_vector_at
 from nsjack.operators import cherednik_prime, dunkl
 from nsjack.ratfunc import KAPPA, RatFunc
-from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
+from nsjack.singular import ClosureViolation, family_context, mu_map
+from nsjack.vectorpoly import VectorPoly, group_action, leading_vector, tau_context
+
+
+def catalan(n: int) -> int:
+    num = 1
+    for i in range(n):
+        num = num * (2 * n - i) // (i + 1)
+    return num // (n + 1)
 
 
 def hook_length_count(shape):
@@ -175,8 +197,57 @@ def eigensolve_jack(alpha, tableau, kappa0) -> VectorPoly:
 
 
 # ---------------------------------------------------------------------------
+# distinguished tableaux and one-swap classes of the two-row rectangle
+# ---------------------------------------------------------------------------
+
+
+class DistinguishedTableaux(NamedTuple):
+    source_max: Rsyt
+    target_stack: Rsyt
+    layers: tuple[int, ...]
+    swapped: dict  # (j, n) -> ColumnStrictTableau, n = m*s for 1 <= s <= k-1
+
+
+def distinguished_tableaux(m: int, k: int) -> DistinguishedTableaux:
+    if m < 1 or k < 2:
+        raise BadShapeParams(f"need m >= 1 and k >= 2, got m={m}, k={k}")
+    swapped = {
+        (j, m * s): swapped_inv_max(m * k, j, m * s)
+        for s in range(1, k)
+        for j in (1, 2)
+    }
+    return DistinguishedTableaux(
+        source_max=max_inv_source(m, k),
+        target_stack=brick_stack_target(m, k),
+        layers=layer_composition(m, k),
+        swapped=swapped,
+    )
+
+
+def enumerate_one_swap_class(num_cols: int, j: int, n: int) -> tuple:
+    """All column-strict tableaux one row-swap (at row j, columns n, n+1)
+    away from an RSYT of the two-row rectangle."""
+    out = []
+    for t in enumerate_rsyt((num_cols, num_cols)):
+        rows = [list(r) for r in t.rows]
+        rows[j - 1][n - 1], rows[j - 1][n] = rows[j - 1][n], rows[j - 1][n - 1]
+        try:
+            out.append(ColumnStrictTableau(rows))
+        except ValueError:
+            continue
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # seminormal matrices in Fraction arithmetic
 # ---------------------------------------------------------------------------
+
+
+def tau_action(w, tab_index: int, shape) -> dict[int, Fraction]:
+    """Image of a basis tableau under the seminormal action of w, as a
+    mapping from basis index to coefficient."""
+    record = tau_context(normalize_partition(shape)).matrix(w)
+    return {row: Fraction(c, record.d) for row, c in record.columns[tab_index]}
 
 
 def seminormal_fractions(shape, w):
@@ -318,3 +389,57 @@ def verify_eigen_equations_ratfunc(jack, indices=None):
                 f"eigen equation fails at index {i} for label "
                 f"({jack.alpha}, {jack.tableau.rows})"
             )
+
+
+# ---------------------------------------------------------------------------
+# the module map, sampled: the reference for the proof in
+# ``singular.mu_commutation_check``
+# ---------------------------------------------------------------------------
+
+
+def random_source_polynomial(rng: random.Random, m: int, k: int, degree: int):
+    """Sparse random element of the two-row module with small Fraction
+    coefficients and total degree at most ``degree``."""
+    sigma = (m * k, m * k)
+    dim = len(enumerate_rsyt(sigma))
+    n = 2 * m * k
+    terms = {}
+    for _ in range(4):
+        total = rng.randint(0, degree)
+        exp = [0] * n
+        for _ in range(total):
+            exp[rng.randrange(n)] += 1
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        if coeff:
+            key = (tuple(exp), rng.randrange(dim))
+            terms[key] = terms.get(key, Fraction(0)) + coeff
+    return VectorPoly(sigma, {k_: v for k_, v in terms.items() if v})
+
+
+def mu_commutation_sampled(m, k, degree, trials, seed) -> int:
+    """Compare mu with every coordinate multiplication, simple reflection
+    and Dunkl operator on ``trials`` seeded random sources of degree at most
+    ``degree``; raises ClosureViolation at the first failure, and returns
+    the number of checks."""
+    fam = family_context(m, k)
+    rng = random.Random(seed)
+    n = 2 * m * k
+    checks = 0
+    for _ in range(trials):
+        g = random_source_polynomial(rng, m, k, degree)
+        mu_g = mu_map(g, m, k)
+        for i in range(1, n + 1):
+            e_i = _unit(i, n)
+            if mu_map(g.mul_monomial(e_i), m, k) != mu_g.mul_monomial(e_i):
+                raise ClosureViolation(f"mu fails to commute with x_{i}")
+            checks += 1
+        for i in range(1, n):
+            w = transposition(n, i, i + 1)
+            if mu_map(group_action(w, g), m, k) != group_action(w, mu_g):
+                raise ClosureViolation(f"mu fails to commute with s_{i}")
+            checks += 1
+        for i in range(1, n + 1):
+            if mu_map(dunkl(i, g, fam.kappa0), m, k) != dunkl(i, mu_g, fam.kappa0):
+                raise ClosureViolation(f"mu fails to commute with D_{i}")
+            checks += 1
+    return checks

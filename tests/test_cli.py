@@ -63,31 +63,66 @@ def test_norms_cli(capsys):
     assert {m["gamma"] for m in doc["members"]} == {"1", "3/4"}
 
 
-def test_mu_verify_cli_seeded(capsys):
-    code, out = run(
-        capsys,
-        "--format", "json",
-        "mu", "verify", "--m", "1", "--k", "2",
-        "--degree", "1", "--trials", "2", "--seed", "3",
-    )
+def test_mu_verify_cli(capsys):
+    code, out = run(capsys, "--format", "json", "mu", "verify", "--m", "1", "--k", "2")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["seed"] == 3 and doc["all_commute"]
+    assert json.loads(out) == {
+        "m": 1,
+        "k": 2,
+        "kappa": "1/3",
+        "dunkl_images": 8,
+        "transports": 6,
+        "all_commute": True,
+    }
 
 
-def test_mu_verify_seed_defaults_to_0(capsys):
-    code, out = run(
-        capsys,
-        "--format", "json",
-        "mu", "verify", "--m", "1", "--k", "2", "--degree", "1", "--trials", "2",
+def test_no_command_takes_a_seed():
+    # mu verify proves the module map rather than sampling it, so it has no
+    # seed, degree or trial count, and no other command takes a seed
+    for argv in (
+        ["--seed", "3", "example", "n5"],
+        ["mu", "verify", "--m", "1", "--k", "2", "--seed", "0"],
+        ["mu", "verify", "--m", "1", "--k", "2", "--degree", "2"],
+        ["mu", "verify", "--m", "1", "--k", "2", "--trials", "20"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def forged_family(member=None, gamma=None):
+    """The (2, 2) family with the member at index 0 replaced by
+    member(specialized) and its gamma by gamma(gamma)."""
+    from nsjack.singular import family_context
+
+    fam = family_context(2, 2)
+    members = list(fam.members)
+    honest = members[0]
+    members[0] = honest._replace(
+        specialized=(member or (lambda p: p))(honest.specialized),
+        gamma=(gamma or (lambda g: g))(honest.gamma),
     )
-    assert code == 0 and json.loads(out)["seed"] == 0
+    return fam._replace(members=tuple(members))
 
 
-def test_seed_is_an_option_of_mu_verify_only():
-    with pytest.raises(SystemExit) as exc:
-        main(["--seed", "3", "example", "n5"])
-    assert exc.value.code == 2
+@pytest.mark.parametrize(
+    "forgery, match",
+    [
+        (dict(gamma=lambda g: 2 * g), "matrix transport"),
+        (dict(member=lambda p: p.scale(2)), "matrix transport"),
+        # not singular, so the singular certificate sees it first
+        (dict(member=lambda p: p.mul_monomial((1,) + (0,) * 7)), "Dunkl index"),
+    ],
+    ids=["gamma_times_2", "member_times_2", "member_times_x1"],
+)
+def test_mu_verify_rejects_a_forged_family(forgery, match, monkeypatch, capsys):
+    import nsjack.singular as singular_module
+
+    forged = forged_family(**forgery)
+    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
+    code, out = run(capsys, "mu", "verify", "--m", "2", "--k", "2")
+    assert code == 1
+    assert out.startswith("FAILED: ") and match in out
 
 
 def test_brickmap_cli(tmp_path, capsys):
@@ -281,6 +316,36 @@ def test_uniq_check_output_is_pinned(case, capsys):
     assert tuple(digests) == UNIQ_SHA256[case]
 
 
+# sha256 of the mu verify documents (json, then text) as recorded when
+# mu verify first proved the module map from the two certificates
+MU_SHA256 = {
+    (1, 2): (
+        "d0afc091c2e5aa76fd90ffb26577853f298674c49a28aa172fa39daa0dd9d666",
+        "6b229e26c64aaaa7eba4a29076fdd32d2cd2051fae073f1c110b72130a2e74d9",
+    ),
+    (1, 3): (
+        "0b576a7f951f8b94ea87733a8d684bcc3a277ea918def036b64e33540ecb7490",
+        "a91332b9b264869809c2be5bb099910b4cdb431bb6236ec7b3116c2efe99e514",
+    ),
+    (2, 2): (
+        "5ee777a06acc97fa1c54ceec7743651aa38947689d50b149276c13ec878259d0",
+        "83c4c81c6b205938a759f64b3448de7ae5e12bc6e7ac95c57eef70ae57d7ea3d",
+    ),
+}
+
+
+@pytest.mark.parametrize("m, k", sorted(MU_SHA256))
+def test_mu_verify_output_is_pinned(m, k, capsys):
+    import hashlib
+
+    digests = []
+    for fmt in ("json", "text"):
+        code, out = run(capsys, "--format", fmt, "mu", "verify", "--m", str(m), "--k", str(k))
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == MU_SHA256[m, k]
+
+
 def test_byte_identical_output(capsys):
     argv = ["--format", "json", "norms", "--m", "1", "--k", "2"]
     _, out1 = run(capsys, *argv)
@@ -351,16 +416,15 @@ TABLEAU_FILE = object()
             "jack", "construct", "--alpha", "1,1,0,0",
             "--tableau-contents=-3,-2,-1,0", "--kappa", "1/0",
         ],
-        # a negative degree, or no trial at all, certifies nothing
-        ["mu", "verify", "--m", "1", "--k", "2", "--degree", "-1"],
-        ["mu", "verify", "--m", "1", "--k", "2", "--trials", "0"],
-        ["mu", "verify", "--m", "1", "--k", "2", "--trials", "-1"],
+        ["mu", "verify", "--m", "1", "--k", "1"],
         ["norms", "--m", "0", "--k", "2"],
         ["norms", "--m", "1", "--k", "1"],
         # a brick width below 1 is checked before it divides
         ["brickmap", "--tableau-json", TABLEAU_FILE, "--m", "0"],
         # m + 2 = 0 is checked before kappa = 1/(m+2) is formed
         ["uniq", "check", "--m", "-2", "--k", "2"],
+        # a variant names one of the two swapped labels, which need --s
+        ["uniq", "check", "--m", "1", "--k", "2", "--variant", "2"],
     ],
     ids=[
         "m0",
@@ -370,13 +434,12 @@ TABLEAU_FILE = object()
         "no_tableau",
         "label_length",
         "kappa_p_over_0",
-        "mu_degree_negative",
-        "mu_trials_zero",
-        "mu_trials_negative",
+        "mu_k1",
         "norms_m0",
         "norms_k1",
         "brickmap_m0",
         "uniq_m_minus_2",
+        "uniq_variant_without_s",
     ],
 )
 def test_bad_parameters_exit_2_with_one_line(argv, tmp_path, capsys):

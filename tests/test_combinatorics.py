@@ -16,11 +16,8 @@ from nsjack.combinatorics import (
     apply_permissible_step,
     brick_of,
     brick_stack_target,
-    catalan,
     compare_order,
     compositions_strictly_below,
-    distinguished_tableaux,
-    enumerate_one_swap_class,
     enumerate_rsyt,
     inv_statistic,
     is_permissible_step,
@@ -35,7 +32,12 @@ from nsjack.combinatorics import (
     swapped_inv_max,
 )
 
-from oracles import hook_length_count
+from oracles import (
+    catalan,
+    distinguished_tableaux,
+    enumerate_one_swap_class,
+    hook_length_count,
+)
 
 # -- independent oracles -----------------------------------------------------
 

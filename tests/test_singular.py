@@ -41,7 +41,7 @@ from nsjack.singular import (
 )
 from nsjack.vectorpoly import VectorPoly
 
-from oracles import hook_length_count
+from oracles import hook_length_count, mu_commutation_sampled
 
 
 # -- brick map -----------------------------------------------------------------
@@ -337,8 +337,19 @@ def test_mu_definition_on_point_mass():
 
 
 def test_mu_commutation_seeded():
-    report = mu_commutation_check(1, 2, degree=2, trials=5, seed=0)
-    assert report.checks == 5 * (4 + 3 + 4)
+    # the proof counts n images per member and n - 1 transports per member;
+    # the seeded sampled reference agrees at the degrees it reaches
+    cases = [(1, 2, range(4), 5, 2), (1, 3, range(4), 3, 5), (2, 2, (3,), 2, 14)]
+    for m, k, degrees, trials, members in cases:
+        n = 2 * m * k
+        report = mu_commutation_check(m, k)
+        assert (report.dunkl_images, report.transports) == (
+            members * n,
+            members * (n - 1),
+        )
+        for degree in degrees:
+            checks = mu_commutation_sampled(m, k, degree, trials, seed=degree)
+            assert checks == trials * (3 * n - 1)
 
 
 def test_reverse_map_m1_k2():

@@ -12,11 +12,10 @@ from nsjack.vectorpoly import (
     ShapeMismatch,
     VectorPoly,
     group_action,
-    tau_action,
     tau_context,
 )
 
-from oracles import seminormal_fractions
+from oracles import seminormal_fractions, tau_action
 
 SHAPES = [(2, 2), (3, 1), (2, 1, 1), (4, 4), (2, 2, 2, 2), (3, 1, 1), (1, 1, 1, 1)]
 
