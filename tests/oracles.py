@@ -1,6 +1,9 @@
 """Independent test oracles: exact linear algebra over Q and a brute-force
 simultaneous-eigenvector solve for Jack polynomials at fixed rational
-parameter values.  These deliberately avoid the projection constructor."""
+parameter values, which deliberately avoid the projection constructor;
+reference formulas for the operators; combinatorial helpers only tests use;
+and the sampled module-map check that the proof in ``mu_commutation_check``
+replaced."""
 
 import random
 from fractions import Fraction
