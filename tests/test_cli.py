@@ -90,35 +90,25 @@ def test_no_command_takes_a_seed():
         assert exc.value.code == 2
 
 
-def forged_family(member=None, gamma=None):
-    """The (2, 2) family with the member at index 0 replaced by
-    member(specialized) and its gamma by gamma(gamma)."""
-    from nsjack.singular import family_context
-
-    fam = family_context(2, 2)
-    members = list(fam.members)
-    honest = members[0]
-    members[0] = honest._replace(
-        specialized=(member or (lambda p: p))(honest.specialized),
-        gamma=(gamma or (lambda g: g))(honest.gamma),
-    )
-    return fam._replace(members=tuple(members))
-
-
 @pytest.mark.parametrize(
-    "forgery, match",
+    "forge, match",
     [
-        (dict(gamma=lambda g: 2 * g), "matrix transport"),
-        (dict(member=lambda p: p.scale(2)), "matrix transport"),
+        (lambda j: j._replace(gamma=2 * j.gamma), "matrix transport"),
+        (lambda j: j._replace(specialized=j.specialized.scale(2)), "matrix transport"),
         # not singular, so the singular certificate sees it first
-        (dict(member=lambda p: p.mul_monomial((1,) + (0,) * 7)), "Dunkl index"),
+        (
+            lambda j: j._replace(specialized=j.specialized.mul_monomial((1,) + (0,) * 7)),
+            "Dunkl index",
+        ),
     ],
     ids=["gamma_times_2", "member_times_2", "member_times_x1"],
 )
-def test_mu_verify_rejects_a_forged_family(forgery, match, monkeypatch, capsys):
+def test_mu_verify_rejects_a_forged_family(forge, match, monkeypatch, capsys):
+    # the first member of the (2, 2) family, forged
     import nsjack.singular as singular_module
 
-    forged = forged_family(**forgery)
+    fam = singular_module.family_context(2, 2)
+    forged = fam._replace(members=(forge(fam.members[0]),) + fam.members[1:])
     monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
     code, out = run(capsys, "mu", "verify", "--m", "2", "--k", "2")
     assert code == 1
