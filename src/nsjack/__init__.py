@@ -25,11 +25,10 @@ from .combinatorics import (
 from .jack import (
     JackPolynomial,
     ReflectionCase,
-    ReflectionResult,
     ZeroDenominator,
-    apply_simple_reflection,
     b_value,
     construct_jack,
+    reflection_rule,
     spectral_vector,
     spectral_vector_at,
     specialize,

@@ -207,12 +207,15 @@ def _composition_pool(alpha_sorted: tuple[int, ...]) -> tuple[tuple[int, ...], .
 
 
 def compositions_strictly_below(alpha) -> tuple[tuple[int, ...], ...]:
-    """All compositions gamma of the same degree and length with gamma < alpha."""
+    """All compositions gamma of the same degree and length with gamma < alpha.
+    Rearrangements of partitions strictly dominated by alpha's all lie below
+    it; only those of alpha's own need the prefix-sum test."""
     alpha = tuple(alpha)
+    lam = sort_descending(alpha)
     return tuple(
         g
-        for g in _composition_pool(sort_descending(alpha))
-        if compare_order(g, alpha) is Comparison.LESS
+        for g in _composition_pool(lam)
+        if g != alpha and (sort_descending(g) != lam or _prefix_leq(g, alpha))
     )
 
 

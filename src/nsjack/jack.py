@@ -30,6 +30,10 @@ and drops it on return; a lone ``construct_jack`` builds its own.
 ``verify_eigen_equations`` checks U'_i J = zeta'(i) J without those
 columns, by one pass of ``operators.cherednik_prime`` over (exponent, pair
 i < j) for all the indices at one integer Kronecker point.
+
+``reflection_rule`` reads off a label, building no polynomial, how a simple
+reflection acts on its Jack polynomial; ``singular`` takes its predictions
+from it.
 """
 
 from __future__ import annotations
@@ -43,13 +47,11 @@ from .combinatorics import (
     Rsyt,
     compositions_strictly_below,
     rank_permutation,
-    transposition,
 )
 from .operators import cherednik_factor, cherednik_prime, uprime_column
 from .ratfunc import PoleAtKappa, RatFunc
 from .vectorpoly import (
     VectorPoly,
-    group_action,
     kronecker_pack,
     leading_vector,
     signed_digits,
@@ -464,7 +466,7 @@ def specialize(jack: JackPolynomial, kappa0) -> VectorPoly:
 
 
 # ---------------------------------------------------------------------------
-# transformation under simple reflections
+# the simple-reflection rule on labels
 # ---------------------------------------------------------------------------
 
 
@@ -477,70 +479,40 @@ class ReflectionCase(Enum):
     TABLEAU_LOWER = "tableau_lower"  # entry swap valid, reciprocal gap < 0
 
 
-class ReflectionResult(NamedTuple):
+class ReflectionRule(NamedTuple):
     case: ReflectionCase
     b: RatFunc
-    scalar: RatFunc  # (s_i - b) J = scalar * J_new, or the eigenvalue
-    result: JackPolynomial
+    scalar: RatFunc  # (s_i - b) J = scalar * J_target, or the eigenvalue
+    target: tuple | None  # (alpha', tableau'), None for an eigenvector
 
 
-def apply_simple_reflection(
-    i: int, jack: JackPolynomial, verify: bool = True
-) -> ReflectionResult:
-    """Transform a Jack polynomial by the simple reflection swapping i, i+1.
-
-    Dispatches on the label: unequal adjacent exponents swap the exponent
-    (scaled by 1 - b^2 in the lowering direction); equal exponents act on the
-    tableau, giving an eigenvector when the moved entries share a row or
-    column and an entry swap otherwise.
-    """
-    alpha, tableau = jack.alpha, jack.tableau
-    n = len(alpha)
-    if not 1 <= i < n:
-        raise ValueError(f"index {i} out of range 1..{n - 1}")
+def reflection_rule(alpha, tableau: Rsyt, i: int) -> ReflectionRule:
+    """How s_i, swapping i and i+1, acts on the Jack polynomial J of the
+    label (Dunkl and Luque, SIGMA 7, 2011), with b = ``b_value``.  Unequal
+    adjacent exponents are swapped.  Equal ones act on the tableau entries
+    j = r_alpha(i) and j+1: s_i J = J if they share a row, -J if they share
+    a column, and otherwise they are swapped.  A swap gives (s_i - b) J =
+    scalar J' for J' of the target, scalar 1 - b^2 when lowering, else 1."""
+    alpha = tuple(alpha)
+    if not 1 <= i < len(alpha):
+        raise ValueError(f"index {i} out of range 1..{len(alpha) - 1}")
     b = b_value(alpha, tableau, i)
     one = RatFunc.from_int(1)
-    swapped = group_action(transposition(n, i, i + 1), jack.poly)
-
-    if alpha[i] > alpha[i - 1]:
-        new_alpha = alpha[: i - 1] + (alpha[i], alpha[i - 1]) + alpha[i + 1 :]
-        new = _labelled(new_alpha, tableau, swapped - jack.poly.scale(b), verify)
-        return ReflectionResult(ReflectionCase.EXPONENT_RAISE, b, one, new)
-    if alpha[i - 1] > alpha[i]:
-        new_alpha = alpha[: i - 1] + (alpha[i], alpha[i - 1]) + alpha[i + 1 :]
-        factor = one - b * b
-        new_poly = (swapped - jack.poly.scale(b)).scale(factor.inverse())
-        new = _labelled(new_alpha, tableau, new_poly, verify)
-        return ReflectionResult(ReflectionCase.EXPONENT_LOWER, b, factor, new)
-
+    if alpha[i - 1] != alpha[i]:
+        target = (alpha[: i - 1] + (alpha[i], alpha[i - 1]) + alpha[i + 1 :], tableau)
+        if alpha[i] > alpha[i - 1]:
+            return ReflectionRule(ReflectionCase.EXPONENT_RAISE, b, one, target)
+        return ReflectionRule(ReflectionCase.EXPONENT_LOWER, b, one - b * b, target)
     j = rank_permutation(alpha)[i - 1]
-    rj, cj = tableau.cell(j)
-    rj1, cj1 = tableau.cell(j + 1)
+    (rj, cj), (rj1, cj1) = tableau.cell(j), tableau.cell(j + 1)
     if rj == rj1:
-        return ReflectionResult(ReflectionCase.ROW_EIGENVECTOR, b, one, jack)
+        return ReflectionRule(ReflectionCase.ROW_EIGENVECTOR, b, one, None)
     if cj == cj1:
-        return ReflectionResult(ReflectionCase.COLUMN_EIGENVECTOR, b, -one, jack)
-    new_tableau = Rsyt(tableau.swap_entries(j))
+        return ReflectionRule(ReflectionCase.COLUMN_EIGENVECTOR, b, -one, None)
+    target = (alpha, Rsyt(tableau.swap_entries(j)))
     if cj > cj1:
-        new = _labelled(alpha, new_tableau, swapped - jack.poly.scale(b), verify)
-        return ReflectionResult(ReflectionCase.TABLEAU_RAISE, b, one, new)
-    factor = one - b * b
-    new_poly = (swapped - jack.poly.scale(b)).scale(factor.inverse())
-    new = _labelled(alpha, new_tableau, new_poly, verify)
-    return ReflectionResult(ReflectionCase.TABLEAU_LOWER, b, factor, new)
-
-
-def _labelled(alpha, tableau, poly, verify: bool) -> JackPolynomial:
-    jack = JackPolynomial(tuple(alpha), tableau, poly, spectral_vector(alpha, tableau))
-    lead = leading_vector(alpha, tableau)
-    if poly.tableau_component(alpha) != lead.tableau_component(alpha):
-        raise AssertionError(
-            f"leading term of label ({tuple(alpha)}, {tableau.rows}) is not the "
-            "triangular one"
-        )
-    if verify:
-        verify_eigen_equations(jack)
-    return jack
+        return ReflectionRule(ReflectionCase.TABLEAU_RAISE, b, one, target)
+    return ReflectionRule(ReflectionCase.TABLEAU_LOWER, b, one - b * b, target)
 
 
 def verify_eigen_equations(jack: JackPolynomial, indices=None):

@@ -33,14 +33,14 @@ from .combinatorics import (
 from .jack import (
     ColumnTable,
     JackPolynomial,
-    b_value,
     construct_jack,
+    reflection_rule,
     spectral_pairs,
     spectral_vector_at,
     specialize,
 )
 from .operators import cherednik_prime, dunkl, jucys_murphy
-from .ratfunc import format_rational
+from .ratfunc import PoleAtKappa, format_rational
 from .vectorpoly import VectorPoly, group_action, tau_context
 
 BadParams = BadShapeParams
@@ -533,7 +533,9 @@ def norms_and_gamma(m: int, k: int) -> NormReport:
     """Norms and gamma factors for every member, with the product formula
     cross-checked against the permissible-step recursion over every edge of
     the reduction graph (hence path-independently).  Both are products over
-    content differences of the brick pairs, so no Jack polynomial is built."""
+    content differences of the brick pairs, so no Jack polynomial is built.
+    A step takes b and its gamma factor from ``jack.reflection_rule`` at the
+    higher label, whose spectral vector at kappa = 1/(m+2) is its source's."""
     from .combinatorics import apply_permissible_step, is_permissible_step
 
     by_source = {pair.source: pair for pair in brick_pairs(m, k)}
@@ -544,25 +546,24 @@ def norms_and_gamma(m: int, k: int) -> NormReport:
     s0 = max_inv_source(m, k)
     if table[s0.content_vector()] != (1, 1):
         raise AssertionError(f"norm or gamma of the top source {s0.rows} is not 1")
+    kappa0 = Fraction(1, m + 2)
     steps = 0
-    for low in by_source:
+    for low, low_pair in by_source.items():
         norm, gamma = table[low.content_vector()]
         for i in range(1, 2 * m * k):
             if not is_permissible_step(low, i):
                 continue
-            high = apply_permissible_step(low, i)
-            cv = high.content_vector()
-            high_norm, high_gamma = table[cv]
-            d = cv[i - 1] - cv[i]
-            if d < 2:
-                raise AssertionError(f"step {i} at {low.rows} has content gap {d} < 2")
-            b = Fraction(1, d)
-            factor = 1 - b * b
-            if norm != factor * high_norm:
+            high = by_source[apply_permissible_step(low, i)]
+            high_norm, high_gamma = table[high.source.content_vector()]
+            rule = reflection_rule(high.beta, high.tableau, i)
+            if rule.target != (low_pair.beta, low_pair.tableau):
+                raise AssertionError(f"step {i} at {low.rows} is not the rule's target")
+            b = rule.b.evaluate(kappa0)
+            if not 0 < b <= Fraction(1, 2):
+                raise AssertionError(f"step {i} at {low.rows} has gap {1 / b} < 2")
+            if norm != (1 - b * b) * high_norm:
                 raise AssertionError(f"norm recursion fails at {low.rows}, step {i}")
-            hb = by_source[high].beta
-            step_gamma = 1 if hb[i - 1] == hb[i] else factor
-            if gamma != step_gamma * high_gamma:
+            if gamma != rule.scalar.evaluate(kappa0) * high_gamma:
                 raise AssertionError(f"gamma recursion fails at {low.rows}, step {i}")
             steps += 1
     return NormReport(m=m, k=k, table=table, steps_checked=steps)
@@ -714,15 +715,19 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     Cases.  With J_S the member of source S at kappa0, transport checks
     gamma_S s_i J_S = sum_R c gamma_R J_R over the column ((R, c), ...) of
     the seminormal matrix sigma(s_i) at S.  Each case then checks the column:
-    ((S, -1)) if same-column and ((S, 1)) if same-row or hinge, so s_i J_S
-    = -J_S or J_S (gamma_S != 0, see ``gamma_factor``); ((S, b), (S', c))
-    with c gamma_S' = scalar gamma_S if generic, so (s_i - b) J_S = scalar J_S'.
+    ((S, -1)) if same-column and ((S, 1)) if same-row, so s_i J_S = -J_S or
+    J_S (gamma_S != 0, see ``gamma_factor``).  Otherwise ``jack.reflection_rule``
+    at the label of S gives b, the scalar and the target label of
+    (s_i - b) J_S = scalar J', and the column is ((S, b), (S', c)) with
+    c gamma_S' = scalar gamma_S, S' the source of the target (generic), or
+    ((S, b)) when the scalar vanishes at kappa0 (hinge, b = 1).
 
-    Hinges.  A hinge label L0 = (beta, T) whose spectral vector at kappa0 is
-    unique (``uniqueness_oracle``) has no pole there.  Each label L =
-    (gamma, T') with gamma strictly below beta has an index i_L separating
-    it from L0 at kappa0, hence over Q(kappa).  U'_i is triangular on
-    span{x^gamma (x) T' : gamma <= beta} (Dunkl and Luque, "Vector-valued
+    Hinges.  There J' drops out if the target, the hinge label L0 = (beta, T),
+    has no pole at kappa0, which holds when its spectral vector at kappa0 is
+    unique (``uniqueness_oracle``).  Each label L = (gamma, T') with gamma
+    strictly below beta has an index i_L separating it from L0 at kappa0,
+    hence over Q(kappa).  U'_i is triangular on span{x^gamma (x) T' :
+    gamma <= beta} (Dunkl and Luque, "Vector-valued
     Jack polynomials from scratch", SIGMA 7, 2011), so, as ``jack._construct``
     uses, J_L0 is prod_L (U'_{i_L} - zeta_{i_L}(L)) / (zeta_{i_L}(L0) -
     zeta_{i_L}(L)) applied to the rational leading vector.  U'_i has its
@@ -732,6 +737,7 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     counts = {"generic": 0, "same_column": 0, "same_row_brick": 0, "hinge": 0}
     hinges = []
     nvars = 2 * m * k
+    row_of_label = {(x.label, x.pair.tableau): r for r, x in enumerate(fam.members)}
     for s_idx, member in enumerate(fam.members):
         source, beta, tab = member.source, member.pair.beta, member.pair.tableau
         if beta[-1] != 0:
@@ -754,46 +760,35 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
                 raise ClosureViolation(
                     f"matrix transport fails at source {source.rows}, i={i}"
                 )
-            if abs(diff) >= 2:
-                case, b = "generic", Fraction(1, diff)
-                o_idx = sigma_ctx.index[_swap(cv, i)]
-                other = fam.members[o_idx]
-                if beta[i - 1] != beta[i]:
-                    expected = (tuple(n * x for x in _swap(beta, i)), tab)
-                    scalar = 1 - b * b if beta[i - 1] > beta[i] else Fraction(1)
-                else:
-                    j = rank_permutation(member.label)[i - 1]
-                    expected = (member.label, Rsyt(tab.swap_entries(j)))
-                    scalar = Fraction(1) if b > 0 else 1 - b * b
-                if (other.label, other.pair.tableau) != expected:
-                    raise ClosureViolation(
-                        f"generic case at source {source.rows}, i={i} reaches "
-                        f"label {other.label} on {other.pair.tableau.rows}, not "
-                        f"the predicted {expected[0]} on {expected[1].rows}"
-                    )
-                predicted = ((s_idx, b), (o_idx, scalar))
-            elif diff == -1:
+            if diff == -1:
                 case, predicted = "same_column", ((s_idx, -1),)
             elif diff == 1 and beta[i - 1] == beta[i]:
                 case, predicted = "same_row_brick", ((s_idx, 1),)
+            elif abs(diff) >= 2 or diff == 1 and beta[i - 1] > beta[i]:
+                case = "generic" if abs(diff) >= 2 else "hinge"
+                rule = reflection_rule(member.label, tab, i)
+                try:
+                    b = rule.b.evaluate(fam.kappa0)
+                    scalar = rule.scalar.evaluate(fam.kappa0)
+                except PoleAtKappa:
+                    raise ClosureViolation(
+                        f"{case} case at source {source.rows}, i={i}: the rule of "
+                        f"label {member.label} has a pole at kappa = {fam.kappa0}"
+                    ) from None
+                # s_i J_S = b J_S + scalar J', J' the member of the rule's target
+                predicted = ((s_idx, b), (row_of_label.get(rule.target), scalar))
+                if not scalar:
+                    predicted = predicted[:1]
+                    if not uniqueness_oracle(*rule.target, fam.kappa0).unique:
+                        raise ClosureViolation(
+                            f"hinge label {rule.target[0]} at source {source.rows}, "
+                            f"i={i} is not separated at kappa = {fam.kappa0}"
+                        )
+                    hinges.append(rule.target)
             else:
-                if diff != 1 or beta[i - 1] <= beta[i]:
-                    raise ClosureViolation(
-                        f"unclassified case at source {source.rows}, i={i}"
-                    )
-                case, predicted = "hinge", ((s_idx, 1),)
-                b = b_value(member.label, tab, i).evaluate(fam.kappa0)
-                if b != 1:
-                    raise ClosureViolation(
-                        f"hinge at source {source.rows}, i={i} has b = {b}, not 1"
-                    )
-                hinge = (tuple(n * x for x in _swap(beta, i)), tab)
-                if not uniqueness_oracle(*hinge, fam.kappa0).unique:
-                    raise ClosureViolation(
-                        f"hinge label {hinge[0]} at source {source.rows}, i={i} "
-                        f"is not separated at kappa = {fam.kappa0}"
-                    )
-                hinges.append(hinge)
+                raise ClosureViolation(
+                    f"unclassified case at source {source.rows}, i={i}"
+                )
             counts[case] += 1
             if weighted != tuple((row, c * member.gamma) for row, c in predicted):
                 raise ClosureViolation(f"{case} case fails at {source.rows}, i={i}")

@@ -2,8 +2,9 @@
 simultaneous-eigenvector solve for Jack polynomials at fixed rational
 parameter values, which deliberately avoid the projection constructor;
 reference formulas for the operators; combinatorial helpers only tests use;
-and the sampled module-map check that the proof in ``mu_commutation_check``
-replaced."""
+simple reflections applied to Jack polynomials over Q(kappa), the reference
+for ``jack.reflection_rule``; and the sampled module-map check that the proof
+in ``mu_commutation_check`` replaced."""
 
 import random
 from fractions import Fraction
@@ -15,17 +16,28 @@ from typing import NamedTuple
 from nsjack.combinatorics import (
     BadShapeParams,
     ColumnStrictTableau,
+    Comparison,
     Rsyt,
+    _composition_pool,
     brick_stack_target,
+    compare_order,
     descent_word,
     enumerate_rsyt,
     layer_composition,
     max_inv_source,
     normalize_partition,
+    sort_descending,
     swapped_inv_max,
     transposition,
 )
-from nsjack.jack import spectral_vector_at
+from nsjack.jack import (
+    JackPolynomial,
+    ReflectionCase,
+    reflection_rule,
+    spectral_vector,
+    spectral_vector_at,
+    verify_eigen_equations,
+)
 from nsjack.operators import cherednik_prime, dunkl
 from nsjack.ratfunc import KAPPA, RatFunc
 from nsjack.singular import ClosureViolation, family_context, mu_map
@@ -196,6 +208,17 @@ def eigensolve_jack(alpha, tableau, kappa0) -> VectorPoly:
     return VectorPoly(
         shape,
         {basis[c]: scale * vec[c] for c in range(dim) if vec[c]},
+    )
+
+
+def compositions_strictly_below_by_order(alpha):
+    """compositions_strictly_below by its definition: every member of the
+    pool that ``compare_order`` puts strictly below alpha, in pool order."""
+    alpha = tuple(alpha)
+    return tuple(
+        g
+        for g in _composition_pool(sort_descending(alpha))
+        if compare_order(g, alpha) is Comparison.LESS
     )
 
 
@@ -392,6 +415,49 @@ def verify_eigen_equations_ratfunc(jack, indices=None):
                 f"eigen equation fails at index {i} for label "
                 f"({jack.alpha}, {jack.tableau.rows})"
             )
+
+
+# ---------------------------------------------------------------------------
+# simple reflections applied to Jack polynomials over Q(kappa): the reference
+# for ``jack.reflection_rule``
+# ---------------------------------------------------------------------------
+
+
+class ReflectionResult(NamedTuple):
+    case: ReflectionCase
+    b: RatFunc
+    scalar: RatFunc  # (s_i - b) J = scalar * J_new, or the eigenvalue
+    result: JackPolynomial
+
+
+def apply_simple_reflection(i, jack, verify=True) -> ReflectionResult:
+    """Transform a Jack polynomial by the simple reflection swapping i, i+1
+    as ``reflection_rule`` predicts: (s_i - b) J / scalar labelled by the
+    rule's target, or s_i J / scalar labelled like J when J is an
+    eigenvector (so J itself when the rule is right).  The leading term is
+    checked, and with ``verify`` the eigen equations of the label."""
+    rule = reflection_rule(jack.alpha, jack.tableau, i)
+    poly = group_action(transposition(len(jack.alpha), i, i + 1), jack.poly)
+    if rule.target is not None:
+        poly = poly - jack.poly.scale(rule.b)
+    if rule.scalar != 1:
+        poly = poly.scale(rule.scalar.inverse())
+    label = rule.target or (jack.alpha, jack.tableau)
+    result = _labelled(*label, poly, verify)
+    return ReflectionResult(rule.case, rule.b, rule.scalar, result)
+
+
+def _labelled(alpha, tableau, poly, verify):
+    jack = JackPolynomial(tuple(alpha), tableau, poly, spectral_vector(alpha, tableau))
+    lead = leading_vector(alpha, tableau)
+    if poly.tableau_component(alpha) != lead.tableau_component(alpha):
+        raise AssertionError(
+            f"leading term of label ({tuple(alpha)}, {tableau.rows}) is not the "
+            "triangular one"
+        )
+    if verify:
+        verify_eigen_equations(jack)
+    return jack
 
 
 # ---------------------------------------------------------------------------

@@ -569,6 +569,45 @@ def test_norms_with_a_forged_gamma_exits_1(monkeypatch, capsys):
     assert_failure_document(code, capsys, "gamma recursion")
 
 
+def _scalar_times_2(rule, label):
+    return rule._replace(scalar=rule.scalar + rule.scalar)
+
+
+def _target_is_the_label(rule, label):
+    return rule._replace(target=label)
+
+
+@pytest.mark.parametrize(
+    "command, forge, match",
+    [
+        (["closure"], _scalar_times_2, "generic case fails"),
+        (["closure"], _target_is_the_label, "generic case fails"),
+        (["norms"], _scalar_times_2, "gamma recursion fails"),
+        (["norms"], _target_is_the_label, "rule's target"),
+        (["mu", "verify"], _scalar_times_2, "generic case fails"),
+        (["mu", "verify"], _target_is_the_label, "generic case fails"),
+    ],
+    ids=[
+        f"{command}-{forgery}"
+        for command in ("closure", "norms", "mu_verify")
+        for forgery in ("scalar_times_2", "target_is_the_label")
+    ],
+)
+def test_a_forged_reflection_rule_exits_1(command, forge, match, monkeypatch, capsys):
+    # closure, norms and (through closure) mu verify take every predicted
+    # label and scalar from the one rule
+    import nsjack.singular as singular_module
+
+    real = singular_module.reflection_rule
+    monkeypatch.setattr(
+        singular_module,
+        "reflection_rule",
+        lambda alpha, tableau, i: forge(real(alpha, tableau, i), (alpha, tableau)),
+    )
+    code = main(["--format", "json", *command, "--m", "1", "--k", "2"])
+    assert_failure_document(code, capsys, match)
+
+
 def test_brickmap_failing_the_content_identity_exits_1(monkeypatch, tmp_path, capsys):
     import nsjack.singular as singular_module
 

@@ -32,8 +32,11 @@ from nsjack.combinatorics import (
     swapped_inv_max,
 )
 
+from nsjack.singular import brick_pairs
+
 from oracles import (
     catalan,
+    compositions_strictly_below_by_order,
     distinguished_tableaux,
     enumerate_one_swap_class,
     hook_length_count,
@@ -169,6 +172,25 @@ def test_compositions_strictly_below():
     for g in compositions_strictly_below((3, 2, 0, 0, 0)):
         assert sum(g) == 5
         assert compare_order(g, (3, 2, 0, 0, 0)) is Comparison.LESS
+
+
+def test_compositions_strictly_below_matches_the_order():
+    # only rearrangements of alpha's own partition take the prefix-sum test;
+    # the definition compares every member of the pool with compare_order
+    labels = [
+        pair.beta
+        for m, k in [(1, 2), (1, 3), (2, 2), (1, 4)]
+        for pair in brick_pairs(m, k)
+    ]
+    rng = random.Random(5)
+    for _ in range(300):
+        alpha = [0] * rng.randint(1, 6)
+        for _ in range(rng.randint(0, 6)):
+            alpha[rng.randrange(len(alpha))] += 1
+        labels.append(tuple(alpha))
+    for alpha in labels:
+        below = compositions_strictly_below(alpha)
+        assert below == compositions_strictly_below_by_order(alpha), alpha
 
 
 def test_multiset_permutations_count():

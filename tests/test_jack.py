@@ -22,9 +22,9 @@ from nsjack.jack import (
     JackPolynomial,
     ReflectionCase,
     ZeroDenominator,
-    apply_simple_reflection,
     b_value,
     construct_jack,
+    reflection_rule,
     spectral_pairs,
     spectral_vector,
     spectral_vector_at,
@@ -36,7 +36,12 @@ from nsjack.ratfunc import KAPPA, PoleAtKappa, RatFunc, clear_denominators
 from nsjack.singular import brick_map, family_context
 from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
 
-from oracles import eigensolve_jack, exponent_code, verify_eigen_equations_ratfunc
+from oracles import (
+    apply_simple_reflection,
+    eigensolve_jack,
+    exponent_code,
+    verify_eigen_equations_ratfunc,
+)
 
 
 def naive_projection(alpha, tableau):
@@ -246,6 +251,23 @@ def test_reflection_eigen_cases_and_tableau_swap():
     res = apply_simple_reflection(3, j)
     assert res.case is ReflectionCase.ROW_EIGENVECTOR
     assert res.scalar == RatFunc.from_int(1)
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (1, 3), (2, 2)])
+def test_reflection_rule_agrees_with_the_oracle_on_families(m, k):
+    # the oracle's (s_i - b) J / scalar is the constructed Jack polynomial of
+    # the rule's target, and s_i J / scalar is J in the eigenvector cases
+    fam = family_context(m, k)
+    columns = ColumnTable(fam.tau, sum(fam.members[0].label))
+    for member in fam.members:
+        for i in range(1, 2 * m * k):
+            rule = reflection_rule(member.label, member.pair.tableau, i)
+            res = apply_simple_reflection(i, member.jack, verify=False)
+            if rule.target is None:
+                expected = member.jack.poly
+            else:
+                expected = construct_jack(*rule.target, columns).poly
+            assert res.result.poly == expected, (member.label, i, rule.case)
 
 
 def test_spectral_pairs_determine_the_label():
