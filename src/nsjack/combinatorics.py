@@ -370,14 +370,6 @@ def enumerate_rsyt(shape: tuple[int, ...]) -> tuple[Rsyt, ...]:
     return tuple(tableaux)
 
 
-@lru_cache(maxsize=None)
-def rsyt_index(shape: tuple[int, ...]) -> dict:
-    """Map content vector -> index into enumerate_rsyt(shape)."""
-    return {
-        t.content_vector(): i for i, t in enumerate(enumerate_rsyt(shape))
-    }
-
-
 def rsyt_from_contents(contents) -> Rsyt:
     """The unique RSYT with the given content vector.
 

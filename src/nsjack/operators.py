@@ -65,10 +65,13 @@ def _check_index(i: int, n: int) -> None:
 
 
 def dunkl_factor(ctx, i: int, top: int, lam: int, scale: int) -> int:
-    """top * (scale + |lam| * ``ctx.spread(i)``): ``dunkl_kernel`` with
-    these parameters, on input whose largest exponent is top, sends a term
-    of coefficient c at most |c| times this into the output digits."""
-    return top * (scale + abs(lam) * ctx.spread(i))
+    """top * (scale + |lam| * sum_{j != i} A_j), A_j the largest column
+    1-norm of D tau(ij) (``action_factor`` at D = ``ctx.denominator``):
+    ``dunkl_kernel`` with these parameters, on input whose largest exponent
+    is top, sends a term of coefficient c at most |c| times this into the
+    output digits."""
+    perms = [transposition(ctx.n, i, j) for j in range(1, ctx.n + 1) if j != i]
+    return top * (scale + abs(lam) * action_factor(ctx, perms, ctx.denominator))
 
 
 def dunkl_kernel(i: int, p: Packed, lam: int, scale: int) -> dict:

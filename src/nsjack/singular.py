@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -713,8 +713,10 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     family alone: no Jack polynomial is built or specialized here.
 
     Cases.  With J_S the member of source S at kappa0, transport checks
-    gamma_S s_i J_S = sum_R c gamma_R J_R over the column ((R, c), ...) of
-    the seminormal matrix sigma(s_i) at S.  Each case then checks the column:
+    gamma_S s_i J_S = sum_R (c / d) gamma_R J_R over the integer column
+    ((R, c), ...) over d of the seminormal matrix sigma(s_i) at S, in
+    integers: as d s_i N_S = sum_R c N_R, with N_S = L gamma_S J_S cleared
+    over one common L.  Each case then checks the column:
     ((S, -1)) if same-column and ((S, 1)) if same-row, so s_i J_S = -J_S or
     J_S (gamma_S != 0, see ``gamma_factor``).  Otherwise ``jack.reflection_rule``
     at the label of S gives b, the scalar and the target label of
@@ -738,6 +740,9 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     hinges = []
     nvars = 2 * m * k
     row_of_label = {(x.label, x.pair.tableau): r for r, x in enumerate(fam.members)}
+    scaled = [x.specialized.scale(x.gamma) for x in fam.members]
+    big_l = lcm(*(c.denominator for p in scaled for c in p.terms.values()))
+    cleared = [p.map_coefficients(lambda c: int(c * big_l)) for p in scaled]
     for s_idx, member in enumerate(fam.members):
         source, beta, tab = member.source, member.pair.beta, member.pair.tableau
         if beta[-1] != 0:
@@ -752,11 +757,11 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
                 (r, Fraction(c, simple.d) * fam.members[r].gamma)
                 for r, c in simple.columns[s_idx]
             )
-            rhs_full = VectorPoly.zero(fam.tau)
-            for row, c in weighted:
-                rhs_full = rhs_full + fam.members[row].specialized.scale(c)
-            swapped = group_action(transposition(nvars, i, i + 1), member.specialized)
-            if swapped.scale(member.gamma) != rhs_full:
+            rhs = VectorPoly.zero(fam.tau)
+            for row, c in simple.columns[s_idx]:
+                rhs = rhs + cleared[row].scale(c)
+            swapped = group_action(transposition(nvars, i, i + 1), cleared[s_idx])
+            if swapped.scale(simple.d) != rhs:
                 raise ClosureViolation(
                     f"matrix transport fails at source {source.rows}, i={i}"
                 )

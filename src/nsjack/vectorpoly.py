@@ -26,13 +26,17 @@ width.  ``apply_packed`` runs a kernel once on that operand and reads each
 packed digit back by its signed base-2^w digits; the eigen check packs
 through the same helper.  ``TauContext`` keeps the width-independent data:
 each seminormal matrix once, as a ``Seminormal`` record of integer columns
-over their least common denominator with the largest column 1-norm.
+over their least common denominator with the largest column 1-norm.  Every
+record but a simple reflection's is one integer ``_product`` of two records:
+a transposition (i j) is its neighbour (i j-1) conjugated by s_{j-1}
+(Dunkl and Luque, "Vector-valued Jack polynomials from scratch", SIGMA 7,
+2011), and any other permutation is folded along its descent word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
@@ -44,7 +48,6 @@ from .combinatorics import (
     normalize_partition,
     perm_inverse,
     rank_permutation,
-    rsyt_index,
     transposition,
 )
 from .ratfunc import RatFunc, clear_denominators
@@ -78,113 +81,104 @@ def _seminormal(columns: list, d: int) -> Seminormal:
     return Seminormal(columns, d // g, norm)
 
 
+def _product(a: Seminormal, b: Seminormal) -> Seminormal:
+    """The record of the matrix product a b, in integers over a.d b.d."""
+    cols = []
+    for col in b.columns:
+        acc = {}
+        for mid, c2 in col:
+            for row, c1 in a.columns[mid]:
+                acc[row] = acc.get(row, 0) + c1 * c2
+        cols.append(tuple((r, c) for r, c in acc.items() if c))
+    return _seminormal(cols, a.d * b.d)
+
+
 class TauContext:
     """The seminormal matrices of one shape, each kept once as a
     ``Seminormal`` record of integers over its denominator.
 
     ``simple(i)`` builds the record of s_i from the degree-zero rules, and
-    ``matrix(w)`` composes these along ``descent_word(w)`` in integers (any
-    word yields the same matrix since the generators satisfy the braid
-    relations); both are cached per permutation.  The operator kernels read
+    every other record is a ``_product`` of two records.  ``matrix(w)``
+    builds a transposition (i j), j > i + 1, from its neighbour by the
+    conjugation (i j) = s_{j-1} (i j-1) s_{j-1}, and any other permutation
+    along ``descent_word(w)`` (any word yields the same matrix since the
+    generators satisfy the braid relations).  The operator kernels read
     ``transpositions(i)``, the transpositions (i j) over ``denominator``,
     the one D shared by all transpositions (1296 for (2,2,2,2)), and their
-    digit bounds read the records' norms, summed over j by ``spread(i)``.
+    digit bounds read the records' norms.  Every result is cached for the
+    instance, which ``tau_context`` keeps for the process.
     """
 
     def __init__(self, shape):
         self.shape = normalize_partition(shape)
         self.n = sum(self.shape)
         self.tableaux = enumerate_rsyt(self.shape)
-        self.index = rsyt_index(self.shape)
+        self.index = {t.content_vector(): r for r, t in enumerate(self.tableaux)}
         self.dim = len(self.tableaux)
-        self._words: dict[tuple, Seminormal] = {}
-        self._transpositions: dict[int, tuple] = {}
-        self._denominator: int | None = None
 
     def index_of(self, tableau: Rsyt) -> int:
         return self.index[tableau.content_vector()]
 
+    @cache
     def simple(self, i: int) -> Seminormal:
         """The simple reflection swapping i, i+1, by the degree-zero rules.
         With g the content of i less that of i+1 and b = 1/g = g/g^2, it
         sends a tableau T to b T, plus 1 (b > 0) or 1 - b^2 = (g^2 - 1)/g^2
-        times T with i, i+1 swapped when that is a tableau, all over the lcm
-        of the g^2.  That is +1 (g = 1) when i, i+1 share a row and -1
-        (g = -1) when they share a column; otherwise |g| >= 2."""
-        w = transposition(self.n, i, i + 1)
-        if w in self._words:
-            return self._words[w]
-        gaps = []
-        for tab in self.tableaux:
-            (ri, ci), (rj, cj) = tab.cell(i), tab.cell(i + 1)
-            gaps.append((ci - ri) - (cj - rj))
+        times the tableau of T's contents with entries i, i+1 swapped when
+        |g| >= 2, all over the lcm of the g^2.  That is +1 (g = 1) when i,
+        i+1 share a row and -1 (g = -1) when they share a column."""
+        gaps = [tab.content(i) - tab.content(i + 1) for tab in self.tableaux]
         d = lcm(*(g * g for g in gaps))
         cols = []
         for t, (tab, g) in enumerate(zip(self.tableaux, gaps)):
             f = d // (g * g)
             col = ((t, g * f),)
             if abs(g) > 1:
-                other = self.index[Rsyt(tab.swap_entries(i)).content_vector()]
+                cv = tab.content_vector()
+                other = self.index[cv[: i - 1] + (cv[i], cv[i - 1]) + cv[i + 1 :]]
                 col += ((other, d if g > 0 else d - f),)
             cols.append(col)
-        record = self._words[w] = _seminormal(cols, d)
-        return record
+        return _seminormal(cols, d)
 
-    def matrix(self, w) -> Seminormal:
-        """The matrix of an arbitrary permutation (one-line form)."""
-        w = tuple(w)
-        if w in self._words:
-            return self._words[w]
-        cols, d = [((t, 1),) for t in range(self.dim)], 1
+    @cache
+    def matrix(self, w: tuple) -> Seminormal:
+        """The matrix of an arbitrary permutation, a tuple in one-line form."""
+        moved = [t for t, v in enumerate(w, 1) if t != v]
+        if len(moved) == 2:
+            i, j = moved
+            s = self.simple(j - 1)
+            if j == i + 1:
+                return s
+            neighbour = self.matrix(transposition(self.n, i, j - 1))
+            return _product(s, _product(neighbour, s))
+        record = Seminormal(tuple(((t, 1),) for t in range(self.dim)), 1, 1)
         for a in reversed(descent_word(w)):
-            s = self.simple(a)
-            d *= s.d
-            out = []
-            for col in cols:
-                acc = {}
-                for mid, c2 in col:
-                    for row, c1 in s.columns[mid]:
-                        acc[row] = acc.get(row, 0) + c1 * c2
-                out.append(tuple((r, c) for r, c in acc.items() if c))
-            cols = out
-        record = self._words[w] = _seminormal(cols, d)
+            record = _product(self.simple(a), record)
         return record
 
-    @property
+    @cached_property
     def denominator(self) -> int:
         """D, the least common denominator of all transposition matrices."""
-        if self._denominator is None:
-            self._denominator = lcm(
-                *(
-                    self.matrix(transposition(self.n, i, j)).d
-                    for i in range(1, self.n)
-                    for j in range(i + 1, self.n + 1)
-                )
+        return lcm(
+            *(
+                self.matrix(transposition(self.n, i, j)).d
+                for i in range(1, self.n)
+                for j in range(i + 1, self.n + 1)
             )
-        return self._denominator
+        )
 
+    @cache
     def transpositions(self, i: int) -> tuple:
         """For j = 1..n, the columns of D times the matrix of (i j), with
         integer entries, in one tuple; None at j = i."""
-        row = self._transpositions.get(i)
-        if row is None:
-            row = []
-            for j in range(1, self.n + 1):
-                if j == i:
-                    row.append(None)
-                    continue
+        row = [None] * self.n
+        for j in range(1, self.n + 1):
+            if j != i:
                 record = self.matrix(transposition(self.n, i, j))
                 f = self.denominator // record.d
                 cols = record.columns
-                row.append(tuple(tuple((r, c * f) for r, c in col) for col in cols))
-            row = self._transpositions[i] = tuple(row)
-        return row
-
-    def spread(self, i: int) -> int:
-        """The sum over j != i of the largest column 1-norm of D tau(ij)."""
-        n, big_d = self.n, self.denominator
-        perms = (transposition(n, i, j) for j in range(1, n + 1) if j != i)
-        return sum(big_d // r.d * r.norm for r in map(self.matrix, perms))
+                row[j - 1] = tuple(tuple((r, c * f) for r, c in col) for col in cols)
+        return tuple(row)
 
 
 @lru_cache(maxsize=None)

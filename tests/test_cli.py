@@ -115,6 +115,34 @@ def test_mu_verify_rejects_a_forged_family(forge, match, monkeypatch, capsys):
     assert out.startswith("FAILED: ") and match in out
 
 
+@pytest.mark.parametrize(
+    "command, match",
+    [
+        ("closure", "matrix transport"),
+        # not singular, and mu verify runs the singular certificate first
+        ("mu verify", "Dunkl index"),
+    ],
+    ids=["closure", "mu_verify"],
+)
+def test_a_member_off_in_one_coefficient_exits_1(command, match, monkeypatch, capsys):
+    # one coefficient of the first (1, 2) member plus one: no scaling of a
+    # member or of its gamma forges this
+    import nsjack.singular as singular_module
+    from nsjack.vectorpoly import VectorPoly
+
+    fam = singular_module.family_context(1, 2)
+    first = fam.members[0]
+    terms = dict(first.specialized.terms)
+    key = next(iter(terms))
+    terms[key] += 1
+    first = first._replace(specialized=VectorPoly(fam.tau, terms))
+    forged = fam._replace(members=(first,) + fam.members[1:])
+    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
+    code, out = run(capsys, *command.split(), "--m", "1", "--k", "2")
+    assert code == 1
+    assert out.startswith("FAILED: ") and match in out
+
+
 def test_brickmap_cli(tmp_path, capsys):
     path = tmp_path / "tableau.json"
     path.write_text(json.dumps([[8, 6, 5, 2], [7, 4, 3, 1]]))
