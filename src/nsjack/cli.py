@@ -3,9 +3,9 @@
 Exit codes: 0 on success, 1 on a mathematical verification failure (any
 failed check, caught once in ``main``: the emitted document carries the
 evidence), 2 on usage errors, which include bad family parameters, malformed
-integer lists or kappa values, contents of no tableau, unreadable input files
-and operator parameters out of range (an index outside 1..n, kappa = 0 for
-U'_i); these print one line on standard error.
+integer lists or kappa values, contents of no tableau, unreadable input files,
+an unwritable output file and operator parameters out of range (an index
+outside 1..n, kappa = 0 for U'_i); these print one line on standard error.
 """
 
 from __future__ import annotations
@@ -279,6 +279,14 @@ def _cmd_apply_operator(args):
 # -- parser ----------------------------------------------------------------------
 
 
+def _writable(path) -> bool:
+    """An existing file must be writable; a new one needs a writable directory."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    folder = os.path.dirname(path) or "."
+    return os.path.isdir(folder) and os.access(folder, os.W_OK)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # argparse (and gettext with it) loads only when a parser is built, so
     # importing nsjack.cli as a library does not pay for it
@@ -364,6 +372,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output and not _writable(args.output):
+            raise UsageError(f"cannot write {args.output}")
         code, doc, text = args.handler(args)
     except (UsageError, BadShapeParams, NoSuchTableau) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -148,33 +148,23 @@ def compare_order(alpha, beta) -> Comparison:
 
 
 def dominated_partitions(lam) -> tuple[tuple[int, ...], ...]:
-    """All partitions of |lam| with at most len(lam) parts dominated by lam."""
+    """All partitions of |lam| with at most len(lam) parts dominated by lam,
+    padded with zeros to len(lam), in decreasing lexicographic order: each
+    such partition is listed and kept when it passes the prefix-sum test."""
     lam = tuple(lam)
-    total, nparts = sum(lam), len(lam)
+    nparts = len(lam)
     out = []
 
     def rec(prefix, remaining, bound):
-        if remaining == 0:
-            out.append(tuple(prefix) + (0,) * (nparts - len(prefix)))
-            return
-        if len(prefix) == nparts:
-            return
-        pos = len(prefix)
-        lam_prefix = sum(lam[: pos + 1])
-        for part in range(min(bound, remaining), 0, -1):
-            # dominance: prefix sums must stay <= those of lam
-            if sum(prefix) + part > lam_prefix:
-                continue
-            # feasibility: the rest must fit in the remaining slots
-            if remaining - part > part * (nparts - pos - 1):
-                continue
-            prefix.append(part)
-            rec(prefix, remaining - part, part)
-            prefix.pop()
+        if not remaining:
+            mu = prefix + (0,) * (nparts - len(prefix))
+            if _prefix_leq(mu, lam):
+                out.append(mu)
+        elif len(prefix) < nparts:
+            for part in range(min(bound, remaining), 0, -1):
+                rec(prefix + (part,), remaining - part, part)
 
-    if total == 0:
-        return ((0,) * nparts,)
-    rec([], total, total)
+    rec((), sum(lam), sum(lam))
     return tuple(out)
 
 
@@ -516,7 +506,7 @@ def reduce_by_permissible_steps(tab) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# bricks and distinguished tableaux
+# bricks
 # ---------------------------------------------------------------------------
 
 

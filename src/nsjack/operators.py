@@ -28,11 +28,11 @@ each packed digit is read back by its signed base-2^w digits.  On a
 ``jack.verify_eigen_equations`` checks the generic eigen equations on the
 ``Packed`` operand of ``vectorpoly.kronecker_pack`` at one integer
 Kronecker point: ``cherednik_kernel`` makes one pass over (exponent, pair
-i < j) for all the requested indices, forms each exponent's image under D tau(ij) once for
-the divided differences of U'_i and U'_j and the swap of omega_i, and adds
-it to one packed accumulator per index keyed by integer exponent codes;
-nothing is unpacked.  ``uprime_column`` builds U'_i columns on the same
-integer scale for the projection constructor, with rows addressed by
+i < j) for every index 1..n, forms each exponent's image under D tau(ij)
+once for the divided differences of U'_i and U'_j and the swap of omega_i,
+and adds it to one packed accumulator per index keyed by integer exponent
+codes; nothing is unpacked.  ``uprime_column`` builds U'_i columns on the
+same integer scale for the projection constructor, with rows addressed by
 exponent codes too; the code above shares none of it, so the eigen check
 stays independent of the constructor.
 """
@@ -97,7 +97,7 @@ def dunkl_kernel(i: int, p: Packed, lam: int, scale: int) -> dict:
     value, ||c||_1 the sum of the absolute input coefficients.
     """
     columns = [
-        (j, packed_columns(cols, p.width, lam, p.used))
+        (j, packed_columns(cols, p.width, lam))
         for j, cols in enumerate(p.ctx.transpositions(i), 1)
         if cols is not None
     ]
@@ -203,12 +203,12 @@ def cherednik_factor(ctx, i: int, top: int, lam: int, mu: int) -> int:
     )
 
 
-def cherednik_kernel(indices, p: Packed, lam: int, mu: int, spectrum=None) -> list:
-    """For each index i of ``indices``, lam D (U'_i - zeta'_i) p at kappa =
-    lam / mu as packed accumulators (code(exp) -> sum_r d_r 2^(width r)),
-    D = ``ctx.denominator`` and zeta'_i = a_i / kappa + c_i for the pairs
-    (a_t, c_t), t = 1..n, of ``spectrum`` (zero when None).  One pass over
-    the exponents serves all the indices:
+def cherednik_kernel(p: Packed, lam: int, mu: int, spectrum) -> list:
+    """For each index i = 1..n, lam D (U'_i - zeta'_i) p at kappa = lam / mu
+    as packed accumulators (code(exp) -> sum_r d_r 2^(width r)), in one list
+    by index, D = ``ctx.denominator`` and zeta'_i = a_i / kappa + c_i for
+    the pairs (a_t, c_t), t = 1..n, of ``spectrum``.  One pass over the
+    exponents serves all the indices:
 
         lam D U'_i = x_i (mu D d/dx_i) + lam sum_{j != i} D tau(ij) x_i dd_ij
                      + lam sum_{j > i} D tau(ij) s_ij,
@@ -241,34 +241,30 @@ def cherednik_kernel(indices, p: Packed, lam: int, mu: int, spectrum=None) -> li
     exp(w + 1) adds step = B^(i-1) - B^(j-1) to the code (nonzero, as e !=
     q makes top >= 1), so each run is one ``range`` of codes.
 
-    An index outside 1..n, or lam = 0 (U'_i has 1/kappa), is a ValueError.
+    lam = 0 (U'_i has 1/kappa) is a ValueError.
     """
     ctx = p.ctx
     n, big_d, width = ctx.n, ctx.denominator, p.width
-    for i in indices:
-        _check_index(i, n)
     if not lam:
         raise ValueError("U'_i has 1/kappa, so kappa = 0 is not a valid value")
-    accs = {i: defaultdict(int) for i in indices}
+    accs = [defaultdict(int) for _ in range(n)]
     base = top_exponent(p.groups) + 1
     powers = [base**t for t in range(n)]
-    spectrum = spectrum or [(0, 0)] * n
-    diagonal = []
-    for i, acc in accs.items():
-        a, c = spectrum[i - 1]
-        diagonal.append((i - 1, acc, mu * big_d, big_d * (mu * a + lam * c)))
+    diagonal = [
+        (t, acc, mu * big_d, big_d * (mu * a + lam * c))
+        for t, (acc, (a, c)) in enumerate(zip(accs, spectrum))
+    ]
     pairs = [
         (
             i - 1,
             j - 1,
-            accs.get(i),
-            accs.get(j),
+            accs[i - 1],
+            accs[j - 1],
             powers[i - 1] - powers[j - 1],
-            packed_columns(ctx.transpositions(i)[j - 1], width, lam, p.used),
+            packed_columns(ctx.transpositions(i)[j - 1], width, lam),
         )
         for i in range(1, n)
         for j in range(i + 1, n + 1)
-        if i in accs or j in accs
     ]
     for exp, entries in p.groups.items():
         code = sum(map(mul, exp, powers))
@@ -277,29 +273,24 @@ def cherednik_kernel(indices, p: Packed, lam: int, mu: int, spectrum=None) -> li
             acc[code] += (exp[t] * scale - shift) * vec
         for t, u, acc_i, acc_j, step, cols in pairs:
             e, q = exp[t], exp[u]
-            if e == q:
-                if acc_i is not None:
-                    acc_i[code] += sum(c * cols[tab] for tab, c in entries)
-                continue
             image = sum(c * cols[tab] for tab, c in entries)
+            if e == q:
+                acc_i[code] += image
+                continue
             low, high = code + (q - e) * step, code + step
             if q < e:
                 # x_i dd_ij and the swap: w = q..e; x_j dd_ji: w = q..e - 1
-                if acc_i is not None:
-                    for key in range(low, high, step):
-                        acc_i[key] += image
-                if acc_j is not None:
-                    for key in range(low, code, step):
-                        acc_j[key] -= image
+                for key in range(low, high, step):
+                    acc_i[key] += image
+                for key in range(low, code, step):
+                    acc_j[key] -= image
             else:
                 # x_i dd_ij less the swap: w = e + 1..q - 1; x_j dd_ji: w = e..q - 1
-                if acc_i is not None:
-                    for key in range(high, low, step):
-                        acc_i[key] -= image
-                if acc_j is not None:
-                    for key in range(code, low, step):
-                        acc_j[key] += image
-    return [accs[i] for i in indices]
+                for key in range(high, low, step):
+                    acc_i[key] -= image
+                for key in range(code, low, step):
+                    acc_j[key] += image
+    return accs
 
 
 def cherednik_prime(i, p, kappa=None, spectrum=None):
@@ -310,16 +301,20 @@ def cherednik_prime(i, p, kappa=None, spectrum=None):
     ``jucys_murphy``, at a rational kappa and over Q(kappa) alike.  On a
     ``Packed`` operand of integer coefficients and an integer or rational
     kappa = lam / mu, lam != 0, ``i`` is a sequence of indices and the
-    result is one dict per index: the packed accumulators of
-    lam D (U'_i - zeta'_i) p keyed by exponent codes, from one pass of
-    ``cherednik_kernel`` over the exponents, at the operand's width and not
+    result is one dict per index, in order: the packed accumulators of
+    lam D (U'_i - zeta'_i) p keyed by exponent codes, from the one pass of
+    ``cherednik_kernel`` for all n indices, at the operand's width and not
     read back, as ``jack.verify_eigen_equations`` compares them.
     ``spectrum`` gives the pairs (a_t, c_t) of zeta'_t = a_t / kappa + c_t
     (zero when None).  kappa = 0 is a ValueError on both operands.
     """
     if isinstance(p, Packed):
+        indices = tuple(i)
+        for t in indices:
+            _check_index(t, p.ctx.n)
         lam, mu = Fraction(kappa).as_integer_ratio()
-        return cherednik_kernel(tuple(i), p, lam, mu, spectrum)
+        accs = cherednik_kernel(p, lam, mu, spectrum or [(0, 0)] * p.ctx.n)
+        return [accs[t - 1] for t in indices]
     if kappa is None or isinstance(kappa, RatFunc):
         inv = RatFunc.kappa_inverse()
     elif kappa == 0:

@@ -757,11 +757,13 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
                 (r, Fraction(c, simple.d) * fam.members[r].gamma)
                 for r, c in simple.columns[s_idx]
             )
-            rhs = VectorPoly.zero(fam.tau)
-            for row, c in simple.columns[s_idx]:
-                rhs = rhs + cleared[row].scale(c)
+            # sum_R c N_R - d s_i N_S on integer dicts
             swapped = group_action(transposition(nvars, i, i + 1), cleared[s_idx])
-            if swapped.scale(simple.d) != rhs:
+            residual = {key: -simple.d * v for key, v in swapped.terms.items()}
+            for row, c in simple.columns[s_idx]:
+                for key, v in cleared[row].terms.items():
+                    residual[key] = residual.get(key, 0) + c * v
+            if any(residual.values()):
                 raise ClosureViolation(
                     f"matrix transport fails at source {source.rows}, i={i}"
                 )

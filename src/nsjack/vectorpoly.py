@@ -16,9 +16,9 @@ It applies the matrices as packed columns and adds the image to packed
 accumulators; ``group_action`` wraps it with ``apply_packed``, a proved
 width and one read-back.  ``operators.dunkl_kernel`` uses the same
 packing, and so does ``operators.cherednik_kernel``, the one pass over
-(exponent, pair i < j) whose per-index accumulators, keyed by exponent
-codes, ``jack.verify_eigen_equations`` tests for zero without unpacking
-them.
+(exponent, pair i < j) whose accumulators, one per index 1..n keyed by
+exponent codes, ``jack.verify_eigen_equations`` tests for zero without
+unpacking them.
 The kernels run on integer coefficients.  ``kronecker_pack`` lifts a
 polynomial over Q(kappa) to them: it clears the coefficients once and packs
 the numerators' values at the Kronecker point kappa = 2^w at a proved
@@ -381,12 +381,10 @@ class VectorPoly:
 
 class Packed(NamedTuple):
     """Integer terms in the operators' packed form at one width: ``groups``
-    maps each exponent to its tableau entries [(r, c_r)], and ``used``
-    holds the tableaux that occur."""
+    maps each exponent to its tableau entries [(r, c_r)]."""
 
     ctx: TauContext
     groups: dict
-    used: frozenset
     width: int
 
 
@@ -395,7 +393,7 @@ def pack(ctx: TauContext, terms: dict, width: int) -> Packed:
     groups = {}
     for (exp, tab), c in terms.items():
         groups.setdefault(exp, []).append((tab, c))
-    return Packed(ctx, groups, frozenset(tab for _, tab in terms), width)
+    return Packed(ctx, groups, width)
 
 
 def packed_vector(entries, width: int) -> int:
@@ -404,10 +402,10 @@ def packed_vector(entries, width: int) -> int:
     return sum(c << (width * tab) for tab, c in entries)
 
 
-def packed_columns(cols, width: int, scale: int, used) -> dict[int, int]:
-    """Column t of an integer matrix for each t in ``used``, times
-    ``scale``, as the one integer sum_r scale * c_r * 2^(width * r)."""
-    return {t: sum(scale * c << (width * row) for row, c in cols[t]) for t in used}
+def packed_columns(cols, width: int, scale: int) -> list[int]:
+    """Every column of an integer matrix times ``scale``, column t as the
+    one integer sum_r scale * c_r * 2^(width * r), in one list by t."""
+    return [sum(scale * c << (width * row) for row, c in col) for col in cols]
 
 
 def packed_width(bound: int) -> int:
@@ -555,10 +553,10 @@ def action_factor(ctx: TauContext, perms, scale: int) -> int:
     return sum(scale // r.d * r.norm for r in map(ctx.matrix, perms))
 
 
-def action_kernel(perms, p: Packed, scale: int, acc: dict) -> dict:
-    """Add scale * sum_v v(p) to the packed accumulators acc (exponent ->
-    sum_r d_r 2^(width r)) and return acc; each denominator d_v of
-    ``ctx.matrix(v)`` must divide scale.
+def action_kernel(perms, p: Packed, scale: int) -> dict:
+    """scale * sum_v v(p) as fresh packed accumulators (exponent ->
+    sum_r d_r 2^(width r)); each denominator d_v of ``ctx.matrix(v)`` must
+    divide scale.
 
     The image of a basis tableau under (scale / d_v) d_v tau(v) is one
     packed column, so an exponent costs one sum of coefficient-times-column
@@ -566,9 +564,10 @@ def action_kernel(perms, p: Packed, scale: int, acc: dict) -> dict:
     digit vector of the image at e whatever the digits' size; only reading
     the digits back needs them to fit the width (``action_factor``).
     """
+    acc = {}
     for v in perms:
         record = p.ctx.matrix(v)
-        columns = packed_columns(record.columns, p.width, scale // record.d, p.used)
+        columns = packed_columns(record.columns, p.width, scale // record.d)
         move = _mover(v)
         for exp, entries in p.groups.items():
             key = move(exp)
@@ -603,7 +602,7 @@ def group_action(w, p: VectorPoly) -> VectorPoly:
         p,
         d,
         lambda top, at: factor,
-        lambda packed, at: action_kernel(perms, packed, d, {}),
+        lambda packed, at: action_kernel(perms, packed, d),
     )
 
 

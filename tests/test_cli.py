@@ -263,33 +263,70 @@ def test_norms_output_is_pinned(m, k, capsys):
 
 
 # sha256 of the closure documents (json, then text) as recorded when
-# closure still built a Jack polynomial for every hinge label
+# closure still built a Jack polynomial for every hinge label; the n = 2
+# family at kappa = 2/3 as recorded when closure checked its transports on
+# VectorPoly sums (its text, which names no kappa, equals the n = 1 text)
 CLOSURE_SHA256 = {
-    (1, 2): (
+    (1, 2, 1): (
         "5ef7d6bc40ef75446acb0df853fe69b537435adcf0ce28e5a24fbcd859f92b75",
         "63dc14f8916b4b683f746bad1de691a41d495da3fcf980801ee235b2e4406353",
     ),
-    (2, 2): (
+    (2, 2, 1): (
         "fefc419ec8fa5713a8f88cb4e742986eb85d3807d6d4341db7ecaf82106c57fb",
         "a9eed86f9f024231c88026cbdf1f9f81f1074da23a6b008ba439d47ee3b32a25",
     ),
-    (1, 3): (
+    (1, 3, 1): (
         "5b4e34bd81d14a5208e4b0425cb9522f1889f2a90717904af42745a5701043db",
+        "f09f57e30f6b8222b8582a7f17a73bb5dde1d223bba1c7a6d1e45405c040135b",
+    ),
+    (1, 3, 2): (
+        "5a173d12d561d4e941e1318d019eb72577a84ca0ee360f3790ee93960c7274e2",
         "f09f57e30f6b8222b8582a7f17a73bb5dde1d223bba1c7a6d1e45405c040135b",
     ),
 }
 
 
-@pytest.mark.parametrize("m, k", sorted(CLOSURE_SHA256))
-def test_closure_output_is_pinned(m, k, capsys):
+def family_id(case):
+    """m-k for the n = 1 family, m-k-n otherwise."""
+    return "-".join(map(str, case if case[2] != 1 else case[:2]))
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_SHA256), ids=family_id)
+def test_closure_output_is_pinned(case, capsys):
     import hashlib
 
+    m, k, n = map(str, case)
     digests = []
     for fmt in ("json", "text"):
-        code, out = run(capsys, "--format", fmt, "closure", "--m", str(m), "--k", str(k))
+        code, out = run(capsys, "--format", fmt, "closure", "--m", m, "--k", k, "--n", n)
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
-    assert tuple(digests) == CLOSURE_SHA256[m, k]
+    assert tuple(digests) == CLOSURE_SHA256[case]
+
+
+# sha256 of the singular verify documents (json, then text) of the n = 2
+# family at kappa = 2/3, as recorded before the operator kernels dropped
+# their index subsets
+SINGULAR_VERIFY_SHA256 = {
+    (1, 3, 2): (
+        "c173f152b5a1cd8eaffa85516c044324d88ba1cb06ede93336f6168ca06c7d78",
+        "9354f62a85d9c3ee369e9e3eed8616d667a7b16ee592f990a560264846e9b5dd",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR_VERIFY_SHA256), ids=family_id)
+def test_singular_verify_output_is_pinned(case, capsys):
+    import hashlib
+
+    m, k, n = map(str, case)
+    digests = []
+    for fmt in ("json", "text"):
+        argv = ["--format", fmt, "singular", "verify", "--m", m, "--k", k, "--n", n]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == SINGULAR_VERIFY_SHA256[case]
 
 
 # sha256 of the uniq check documents (json, then text) as recorded when
@@ -388,6 +425,26 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["unique"]
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory", "file_as_directory"])
+def test_unwritable_output_exits_2_before_any_work(where, tmp_path, capsys, monkeypatch):
+    # the path is checked before the handler runs, so no certificate is
+    # computed for a document that cannot be written
+    import nsjack.cli
+
+    def handler(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(nsjack.cli, "_cmd_example_n5", handler)
+    (tmp_path / "file").write_text("")
+    target = {
+        "missing_directory": tmp_path / "absent" / "x.json",
+        "directory": tmp_path,
+        "file_as_directory": tmp_path / "file" / "x.json",
+    }[where]
+    code = main(["--output", str(target), "example", "n5"])
+    assert_usage_error(code, capsys)
 
 
 def test_text_format_renders_tableaux(capsys):

@@ -13,6 +13,7 @@ from nsjack.combinatorics import (
     NoSuchTableau,
     NotReducible,
     Rsyt,
+    _composition_pool,
     apply_permissible_step,
     brick_of,
     brick_stack_target,
@@ -36,6 +37,7 @@ from nsjack.singular import brick_pairs
 
 from oracles import (
     catalan,
+    compositions_of_degree,
     compositions_strictly_below_by_order,
     distinguished_tableaux,
     enumerate_one_swap_class,
@@ -191,6 +193,31 @@ def test_compositions_strictly_below_matches_the_order():
     for alpha in labels:
         below = compositions_strictly_below(alpha)
         assert below == compositions_strictly_below_by_order(alpha), alpha
+
+
+def test_composition_pool_matches_its_definition():
+    # the pool of lam is every composition of |lam| with len(lam) parts whose
+    # sorted form is at or below lam, each once; the definition enumerates
+    # all compositions of that degree and asks compare_order
+    lams = [
+        sort_descending(brick_pairs(m, k)[0].beta)
+        for m, k in [(1, 2), (1, 3), (2, 2), (1, 4)]
+    ]
+    rng = random.Random(19)
+    for _ in range(300):
+        lam = [0] * rng.randint(1, 7)
+        for _ in range(rng.randint(0, 8)):
+            lam[rng.randrange(len(lam))] += 1
+        lams.append(sort_descending(lam))
+    for lam in lams:
+        pool = _composition_pool(lam)
+        assert len(pool) == len(set(pool)), lam
+        assert set(pool) == {
+            g
+            for g in compositions_of_degree(sum(lam), len(lam))
+            if compare_order(sort_descending(g), lam)
+            in (Comparison.LESS, Comparison.EQUAL)
+        }, lam
 
 
 def test_multiset_permutations_count():
