@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 1 on a mathematical verification failure (any
 failed check, caught once in ``main``: the emitted document carries the
 evidence), 2 on usage errors, which include bad family parameters, malformed
-integer lists or kappa values, contents of no tableau, unreadable input files,
-an unwritable output file and operator parameters out of range (an index
-outside 1..n, kappa = 0 for U'_i); these print one line on standard error.
+integer lists or kappa values, contents of no tableau, tableau entries that
+are not integers, unreadable input files, an unwritable output file and
+operator parameters out of range (an index outside 1..n, kappa = 0 for
+U'_i); these print one line on standard error.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ if TYPE_CHECKING:
     import argparse
 
 
-def _tableau_text(rows) -> str:
-    width = max(len(str(v)) for row in rows for v in row)
-    return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows)
-
-
 class UsageError(ValueError):
     """Malformed command-line input (exit code 2)."""
 
@@ -66,6 +62,10 @@ def _read_json(path):
 
 def _load_tableau(path):
     rows = _read_json(path)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows
+    ):
+        raise UsageError(f"{path} holds no tableau: expected rows of integers")
     try:
         return Rsyt(rows)
     except ValueError:
@@ -104,7 +104,7 @@ def _cmd_singular_verify(args):
     ]
     for record in cert.members:
         lines.append("")
-        lines.append(_tableau_text(record["source"]))
+        lines.append(str(Rsyt(record["source"])))
         lines.append(f"  beta   = {tuple(record['beta'])}")
         lines.append(f"  gamma  = {record['gamma']}")
         lines.append(f"  zeta   = {record['spectral']}")
@@ -118,10 +118,7 @@ def _cmd_brickmap(args):
         "beta": list(pair.beta),
         "tableau": [list(r) for r in pair.tableau.rows],
     }
-    text = (
-        f"beta = {pair.beta}\n" + _tableau_text(doc["tableau"])
-    )
-    return 0, doc, text
+    return 0, doc, f"beta = {pair.beta}\n{pair.tableau}"
 
 
 def _cmd_uniq_check(args):
@@ -225,7 +222,7 @@ def _cmd_jack_construct(args):
     }
     lines = [
         f"label alpha={alpha}",
-        _tableau_text(doc["tableau"]),
+        str(tableau),
         f"{len(jack.poly.terms)} terms over {jack.monomial_count()} monomials",
     ]
     if kappa0 is not None:

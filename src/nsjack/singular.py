@@ -707,8 +707,20 @@ class ClosureReport(NamedTuple):
         }
 
 
+def closure_case(label, tableau: Rsyt, i: int, kappa0: Fraction) -> tuple:
+    """(case, b, scalar, target) of s_i at the label: ``jack.reflection_rule``
+    at kappa0, where a pole raises PoleAtKappa.  With no target the case is
+    same_column (b = -1) or same_row_brick (b = 1), with one it is generic,
+    or hinge when the scalar vanishes."""
+    rule = reflection_rule(label, tableau, i)
+    b, scalar = rule.b.evaluate(kappa0), rule.scalar.evaluate(kappa0)
+    if rule.target is None:
+        return ("same_column" if b == -1 else "same_row_brick"), b, scalar, None
+    return ("generic" if scalar else "hinge"), b, scalar, rule.target
+
+
 def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
-    """Classify every (source, index) pair by the content gap and verify the
+    """Classify every (source, index) pair by ``closure_case`` and verify the
     predicted action of the simple reflection on the family span, from the
     family alone: no Jack polynomial is built or specialized here.
 
@@ -716,13 +728,12 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     gamma_S s_i J_S = sum_R (c / d) gamma_R J_R over the integer column
     ((R, c), ...) over d of the seminormal matrix sigma(s_i) at S, in
     integers: as d s_i N_S = sum_R c N_R, with N_S = L gamma_S J_S cleared
-    over one common L.  Each case then checks the column:
-    ((S, -1)) if same-column and ((S, 1)) if same-row, so s_i J_S = -J_S or
-    J_S (gamma_S != 0, see ``gamma_factor``).  Otherwise ``jack.reflection_rule``
-    at the label of S gives b, the scalar and the target label of
-    (s_i - b) J_S = scalar J', and the column is ((S, b), (S', c)) with
-    c gamma_S' = scalar gamma_S, S' the source of the target (generic), or
-    ((S, b)) when the scalar vanishes at kappa0 (hinge, b = 1).
+    over one common L.  Every case then checks the column against the rule
+    at the label of S, (s_i - b) J_S = scalar J' (``closure_case``): it is
+    ((S, b)), plus (S', c) with c gamma_S' = scalar gamma_S and S' the source
+    of the target J' in the generic case.  An eigenvector, with no target,
+    has b = -1 or 1 (gamma_S != 0, see ``gamma_factor``), and a hinge's
+    scalar vanishes at kappa0.
 
     Hinges.  There J' drops out if the target, the hinge label L0 = (beta, T),
     has no pole at kappa0, which holds when its spectral vector at kappa0 is
@@ -747,9 +758,7 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
         source, beta, tab = member.source, member.pair.beta, member.pair.tableau
         if beta[-1] != 0:
             raise ClosureViolation(f"top entry of {source.rows} is not in the first brick")
-        cv = source.content_vector()
         for i in range(1, nvars):
-            diff = cv[i - 1] - cv[i]
             # the rescaled family transforms with the seminormal source-side
             # matrices, uniformly across all cases
             simple = sigma_ctx.simple(i)
@@ -767,35 +776,24 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
                 raise ClosureViolation(
                     f"matrix transport fails at source {source.rows}, i={i}"
                 )
-            if diff == -1:
-                case, predicted = "same_column", ((s_idx, -1),)
-            elif diff == 1 and beta[i - 1] == beta[i]:
-                case, predicted = "same_row_brick", ((s_idx, 1),)
-            elif abs(diff) >= 2 or diff == 1 and beta[i - 1] > beta[i]:
-                case = "generic" if abs(diff) >= 2 else "hinge"
-                rule = reflection_rule(member.label, tab, i)
-                try:
-                    b = rule.b.evaluate(fam.kappa0)
-                    scalar = rule.scalar.evaluate(fam.kappa0)
-                except PoleAtKappa:
-                    raise ClosureViolation(
-                        f"{case} case at source {source.rows}, i={i}: the rule of "
-                        f"label {member.label} has a pole at kappa = {fam.kappa0}"
-                    ) from None
-                # s_i J_S = b J_S + scalar J', J' the member of the rule's target
-                predicted = ((s_idx, b), (row_of_label.get(rule.target), scalar))
-                if not scalar:
-                    predicted = predicted[:1]
-                    if not uniqueness_oracle(*rule.target, fam.kappa0).unique:
-                        raise ClosureViolation(
-                            f"hinge label {rule.target[0]} at source {source.rows}, "
-                            f"i={i} is not separated at kappa = {fam.kappa0}"
-                        )
-                    hinges.append(rule.target)
-            else:
+            try:
+                case, b, scalar, target = closure_case(member.label, tab, i, fam.kappa0)
+            except PoleAtKappa:
                 raise ClosureViolation(
-                    f"unclassified case at source {source.rows}, i={i}"
-                )
+                    f"the rule of label {member.label} at source {source.rows}, "
+                    f"i={i} has a pole at kappa = {fam.kappa0}"
+                ) from None
+            # s_i J_S = b J_S + scalar J', J' the member of the rule's target
+            predicted = ((s_idx, b),)
+            if case == "generic":
+                predicted += ((row_of_label.get(target), scalar),)
+            elif case == "hinge":
+                if not uniqueness_oracle(*target, fam.kappa0).unique:
+                    raise ClosureViolation(
+                        f"hinge label {target[0]} at source {source.rows}, "
+                        f"i={i} is not separated at kappa = {fam.kappa0}"
+                    )
+                hinges.append(target)
             counts[case] += 1
             if weighted != tuple((row, c * member.gamma) for row, c in predicted):
                 raise ClosureViolation(f"{case} case fails at {source.rows}, i={i}")

@@ -3,8 +3,9 @@ simultaneous-eigenvector solve for Jack polynomials at fixed rational
 parameter values, which deliberately avoid the projection constructor;
 reference formulas for the operators; combinatorial helpers only tests use;
 simple reflections applied to Jack polynomials over Q(kappa), the reference
-for ``jack.reflection_rule``; and the sampled module-map check that the proof
-in ``mu_commutation_check`` replaced."""
+for ``jack.reflection_rule``; the content-gap classification of the closure
+cases, the reference for ``singular.closure_case``; and the sampled
+module-map check that the proof in ``mu_commutation_check`` replaced."""
 
 import random
 from fractions import Fraction
@@ -458,6 +459,25 @@ def _labelled(alpha, tableau, poly, verify):
     if verify:
         verify_eigen_equations(jack)
     return jack
+
+
+def content_gap_case(source, beta, i):
+    """The closure case of s_i at the brick pair (beta, source) from the
+    source's content gap d = content(i) - content(i+1) alone: same_column for
+    d = -1, generic for |d| >= 2, and for d = 1 same_row_brick inside a brick
+    (beta_i = beta_{i+1}) or hinge across bricks (beta_i > beta_{i+1}); None
+    otherwise."""
+    contents = source.content_vector()
+    diff = contents[i - 1] - contents[i]
+    if diff == -1:
+        return "same_column"
+    if abs(diff) >= 2:
+        return "generic"
+    if diff == 1 and beta[i - 1] == beta[i]:
+        return "same_row_brick"
+    if diff == 1 and beta[i - 1] > beta[i]:
+        return "hinge"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,31 @@ def test_singular_verify_output_is_pinned(case, capsys):
     assert tuple(digests) == SINGULAR_VERIFY_SHA256[case]
 
 
+# sha256 of the text documents that print a tableau, as recorded when the
+# command line had a tableau formatter of its own
+TABLEAU_TEXT_SHA256 = {
+    "brickmap": "cdd562c24c4d93aa7bc1b29e9fb97c930a4593745e822842d5a746bdde49fcbf",
+    "jack_construct": "f50fee36b9d999db0ff9ab00f21ff9b8c35f046d649f0e1d84da10f499f721ef",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLEAU_TEXT_SHA256))
+def test_tableau_text_is_pinned(command, tmp_path, capsys):
+    import hashlib
+
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps([[8, 6, 5, 2], [7, 4, 3, 1]]))
+    argv = {
+        "brickmap": ["brickmap", "--tableau-json", str(path), "--m", "2"],
+        "jack_construct": [
+            "jack", "construct", "--alpha", "1,1,0,0", "--tableau-contents=-3,-2,-1,0"
+        ],
+    }[command]
+    code, out = run(capsys, "--format", "text", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLEAU_TEXT_SHA256[command]
+
+
 # sha256 of the uniq check documents (json, then text) as recorded when
 # the oracle still compared a Fraction spectral vector per candidate
 UNIQ_SHA256 = {
@@ -546,6 +571,21 @@ def assert_usage_error(code, capsys):
 def test_brickmap_file_holding_no_tableau_exits_2(tmp_path, capsys):
     path = tmp_path / "tableau.json"
     path.write_text(json.dumps([[1, 2], [3, 4]]))  # columns increase
+    code = main(["brickmap", "--tableau-json", str(path), "--m", "1"])
+    assert_usage_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[[4,2],[3,true]]", "[[4,2],[3,1.0]]", "[[4,2],[3,null]]", "[[4,2],3]", "5"],
+    ids=["bool_entry", "float_entry", "null_entry", "bare_row_entry", "bare_integer"],
+)
+def test_brickmap_file_with_entries_that_are_not_integers_exits_2(
+    content, tmp_path, capsys
+):
+    # JSON true is a Python int, and a float, null or bare entry is no row
+    path = tmp_path / "tableau.json"
+    path.write_text(content)
     code = main(["brickmap", "--tableau-json", str(path), "--m", "1"])
     assert_usage_error(code, capsys)
 

@@ -1,7 +1,10 @@
 """Brick map, singular families, uniqueness, norms, module maps."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -27,6 +30,7 @@ from nsjack.singular import (
     alpha_variants,
     brick_map,
     brick_pairs,
+    closure_case,
     closure_check,
     example_n5,
     family_context,
@@ -41,7 +45,7 @@ from nsjack.singular import (
 )
 from nsjack.vectorpoly import VectorPoly
 
-from oracles import hook_length_count, mu_commutation_sampled
+from oracles import content_gap_case, hook_length_count, mu_commutation_sampled
 
 
 # -- brick map -----------------------------------------------------------------
@@ -395,6 +399,36 @@ def test_closure_m1_k2():
             specialize(construct_jack(label, tab), report.kappa0)
 
 
+# (same_column, generic, same_row_brick, hinge) counts over every (source, i)
+# of the family (m, k, n), from the brick pairs alone
+CLOSURE_CASE_COUNTS = {
+    (1, 2, 1): (2, 2, 0, 2),
+    (1, 3, 1): (5, 10, 0, 10),
+    (1, 3, 2): (5, 10, 0, 10),
+    (2, 2, 1): (14, 42, 28, 14),
+    (1, 4, 1): (14, 42, 0, 42),
+    (1, 5, 1): (42, 168, 0, 168),
+    (3, 2, 1): (132, 660, 528, 132),
+    (2, 3, 1): (132, 660, 396, 264),
+}
+
+
+@pytest.mark.parametrize("m, k, n", sorted(CLOSURE_CASE_COUNTS))
+def test_closure_case_of_the_rule_is_the_content_gap_case(m, k, n):
+    # the (1, 5), (3, 2) and (2, 3) families are too large to build, so their
+    # closure cases are checked here only
+    kappa0 = Fraction(n, m + 2)
+    counts = Counter()
+    for pair in brick_pairs(m, k):
+        label = tuple(n * b for b in pair.beta)
+        for i in range(1, 2 * m * k):
+            case = closure_case(label, pair.tableau, i, kappa0)[0]
+            assert case == content_gap_case(pair.source, pair.beta, i), (pair, i)
+            counts[case] += 1
+    names = ("same_column", "generic", "same_row_brick", "hinge")
+    assert tuple(counts[name] for name in names) == CLOSURE_CASE_COUNTS[m, k, n]
+
+
 # -- the five-variable example ------------------------------------------------------
 
 
@@ -544,10 +578,40 @@ def test_norms_build_no_jack_polynomial(monkeypatch, m, k):
     ]
 
 
-def test_closure_rejects_a_forged_label(monkeypatch):
-    honest = family_context(1, 2).members[0]
-    forge_family(monkeypatch, "label", tuple(reversed(honest.label)), member=0)
-    with pytest.raises(ClosureViolation, match="generic case"):
+# every single-member label forgery at (1, 2): one member's label replaced by
+# another arrangement of its entries
+FORGERIES = [
+    (member, label)
+    for member, pair in enumerate(brick_pairs(1, 2))
+    for label in sorted(set(permutations(pair.beta)))
+    if label != pair.beta
+]
+# the first check that rejects each forgery
+FORGED_LABELS = {
+    (0, (0, 0, 1, 1)): "the rule of label (0, 0, 1, 1) at source ((4, 2), (3, 1)), "
+    "i=2 has a pole",
+    (0, (0, 1, 0, 1)): "generic case fails at ((4, 2), (3, 1)), i=1",
+    (0, (0, 1, 1, 0)): "generic case fails at ((4, 2), (3, 1)), i=1",
+    (0, (1, 0, 0, 1)): "hinge label (0, 1, 0, 1) at source ((4, 2), (3, 1)), "
+    "i=1 is not separated",
+    (0, (1, 0, 1, 0)): "hinge case fails at ((4, 2), (3, 1)), i=1",
+    (1, (0, 0, 1, 1)): "generic case fails at ((4, 2), (3, 1)), i=2",
+    (1, (0, 1, 0, 1)): "generic case fails at ((4, 2), (3, 1)), i=2",
+    (1, (0, 1, 1, 0)): "generic case fails at ((4, 2), (3, 1)), i=2",
+    (1, (1, 0, 0, 1)): "generic case fails at ((4, 2), (3, 1)), i=2",
+    (1, (1, 1, 0, 0)): "generic case fails at ((4, 2), (3, 1)), i=2",
+}
+
+
+@pytest.mark.parametrize(
+    "member, label",
+    FORGERIES,
+    ids=[f"{member}-{''.join(map(str, label))}" for member, label in FORGERIES],
+)
+def test_closure_rejects_a_forged_label(monkeypatch, member, label):
+    forge_family(monkeypatch, "label", label, member=member)
+    match = re.escape(FORGED_LABELS[member, label])
+    with pytest.raises(ClosureViolation, match=match):
         closure_check(1, 2)
 
 
