@@ -5,22 +5,16 @@ rectangular shapes."""
 from .combinatorics import (
     BadShapeParams,
     ColumnStrictTableau,
-    Comparison,
     NoSuchTableau,
-    NotReducible,
     Rsyt,
-    brick_of,
     brick_stack_target,
-    compare_order,
     compositions_strictly_below,
     enumerate_rsyt,
     inv_statistic,
     layer_composition,
     max_inv_source,
     rank_permutation,
-    reduce_by_permissible_steps,
     rsyt_from_contents,
-    swapped_inv_max,
 )
 from .jack import (
     JackPolynomial,
@@ -34,7 +28,7 @@ from .jack import (
     specialize,
 )
 from .operators import cherednik, cherednik_prime, dunkl, jucys_murphy
-from .ratfunc import KAPPA, ONE, ZERO, PoleAtKappa, RatFunc, parse_rational
+from .ratfunc import KAPPA, PoleAtKappa, RatFunc, parse_rational
 from .singular import (
     BadParams,
     BrickIdentityViolation,
@@ -42,7 +36,6 @@ from .singular import (
     ClosureViolation,
     NonzeroDunklImage,
     NotIsotypic,
-    OrderViolation,
     alpha_variants,
     brick_map,
     closure_check,
@@ -50,10 +43,7 @@ from .singular import (
     family_context,
     isotype_of,
     mu_commutation_check,
-    mu_map,
     norms_and_gamma,
-    pair_tableau,
-    reverse_map_qT,
     singular_family,
     uniqueness_oracle,
 )

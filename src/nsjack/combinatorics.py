@@ -8,16 +8,11 @@ fillings with ``N..1`` strictly decreasing along rows and columns.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 
 
 class NoSuchTableau(ValueError):
     """No RSYT exists with the requested content vector."""
-
-
-class NotReducible(ValueError):
-    """Tableau is not reducible by permissible steps (wrong shape or class)."""
 
 
 class BadShapeParams(ValueError):
@@ -71,14 +66,6 @@ def perm_inverse(w) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def perm_apply_to_composition(w, alpha) -> tuple[int, ...]:
-    """(w . alpha)_i = alpha_{w^{-1}(i)}, so that (xw)^alpha = x^{w.alpha}."""
-    out = [0] * len(alpha)
-    for i, a in enumerate(alpha):
-        out[w[i] - 1] = a
-    return tuple(out)
-
-
 def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     w = list(range(1, n + 1))
     w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
@@ -104,13 +91,6 @@ def descent_word(w) -> tuple[int, ...]:
     return tuple(reversed(stripped))
 
 
-class Comparison(Enum):
-    LESS = "less"  # first argument strictly below in the composition order
-    GREATER = "greater"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
 def _prefix_leq(alpha, beta) -> bool:
     s, t = 0, 0
     for a, b in zip(alpha, beta):
@@ -119,32 +99,6 @@ def _prefix_leq(alpha, beta) -> bool:
         if s > t:
             return False
     return True
-
-
-def compare_order(alpha, beta) -> Comparison:
-    """Compare in the order on compositions refined from dominance.
-
-    alpha < beta iff |alpha| = |beta| and either the sorted rearrangement of
-    alpha is strictly dominated by that of beta, or the rearrangements agree
-    and alpha itself has weakly smaller prefix sums.
-    """
-    alpha, beta = tuple(alpha), tuple(beta)
-    if alpha == beta:
-        return Comparison.EQUAL
-    if len(alpha) != len(beta) or sum(alpha) != sum(beta):
-        return Comparison.INCOMPARABLE
-    ap, bp = sort_descending(alpha), sort_descending(beta)
-    if ap == bp:
-        if _prefix_leq(alpha, beta):
-            return Comparison.LESS
-        if _prefix_leq(beta, alpha):
-            return Comparison.GREATER
-        return Comparison.INCOMPARABLE
-    if _prefix_leq(ap, bp):
-        return Comparison.LESS
-    if _prefix_leq(bp, ap):
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
 
 
 def dominated_partitions(lam) -> tuple[tuple[int, ...], ...]:
@@ -397,7 +351,7 @@ def rsyt_from_contents(contents) -> Rsyt:
 
 
 # ---------------------------------------------------------------------------
-# permissible steps and reduction
+# permissible steps
 # ---------------------------------------------------------------------------
 
 
@@ -414,112 +368,16 @@ def apply_permissible_step(tab, i: int):
     return type(tab)(tab.swap_entries(i))
 
 
-def _row_violation(tab) -> tuple[int, int] | None:
-    """The unique adjacent row inversion (row, col), if there is exactly one."""
-    bad = [
-        (r + 1, c + 1)
-        for r, row in enumerate(tab.rows)
-        for c in range(len(row) - 1)
-        if row[c] < row[c + 1]
-    ]
-    if len(bad) == 1:
-        return bad[0]
-    return None
-
-
-def swapped_inv_max(num_cols: int, j: int, n: int) -> ColumnStrictTableau:
-    """The inv-maximal member of the one-swap class: column filling of the
-    two-row shape with the 2x2 block at columns n, n+1 rearranged."""
-    if not (1 <= n < num_cols) or j not in (1, 2):
-        raise BadShapeParams(f"need 1 <= n < {num_cols} and j in {{1,2}}")
-    top = [2 * num_cols + 2 - 2 * i for i in range(1, num_cols + 1)]
-    bot = [2 * num_cols + 1 - 2 * i for i in range(1, num_cols + 1)]
-    v = 2 * num_cols - 2 * n
-    if j == 1:
-        block = ((v + 1, v + 2), (v, v - 1))
-    else:
-        block = ((v + 2, v + 1), (v - 1, v))
-    top[n - 1], top[n] = block[0]
-    bot[n - 1], bot[n] = block[1]
-    return ColumnStrictTableau((top, bot))
-
-
-def reduce_by_permissible_steps(tab) -> list[int]:
-    """Indices of permissible steps carrying the tableau to the inv-maximal
-    element of its class (the column filling, or its one-swap variant).
-
-    Works on two-row column-strict tableaux: RSYT reduce to the column-by-
-    column filling, and one-row-swap tableaux to the corresponding swapped
-    filling.  Each returned step raises inv by exactly 1.
-    """
-    if len(tab.shape) != 2 or tab.shape[0] != tab.shape[1]:
-        raise NotReducible(f"need a two-row rectangle, got shape {tab.shape}")
-    num_cols = tab.shape[0]
-    violation = _row_violation(tab)
-    jrow = swap_col = None
-    if not isinstance(tab, Rsyt):
-        if violation is None:
-            try:
-                tab = Rsyt(tab.rows)
-            except ValueError as exc:
-                raise NotReducible("not an RSYT nor one row swap away") from exc
-        else:
-            jrow, swap_col = violation
-            fixed = [list(r) for r in tab.rows]
-            fixed[jrow - 1][swap_col - 1], fixed[jrow - 1][swap_col] = (
-                fixed[jrow - 1][swap_col],
-                fixed[jrow - 1][swap_col - 1],
-            )
-            try:
-                Rsyt(fixed)
-            except ValueError as exc:
-                raise NotReducible("not an RSYT nor one row swap away") from exc
-
-    steps = []
-    current = tab
-
-    def step(i):
-        nonlocal current
-        before = inv_statistic(current)
-        current = apply_permissible_step(current, i)
-        if inv_statistic(current) != before + 1:
-            raise NotReducible(f"step {i} does not raise the inversion count by one")
-        steps.append(i)
-
-    # fix columns left to right: raise the bottom entry until it is one below
-    # the top.  For the swapped class, stop before the displaced block.
-    limit = num_cols - 1 if swap_col is None else swap_col - 1
-    for col in range(1, limit + 1):
-        while current.entry(2, col) < current.entry(1, col) - 1:
-            step(current.entry(2, col))
-    # fix columns right to left: lower the top entry until one above the bottom
-    if swap_col is not None:
-        for col in range(num_cols, swap_col + 1, -1):
-            while current.entry(1, col) > current.entry(2, col) + 1:
-                step(current.entry(1, col) - 1)
-        done = current == swapped_inv_max(num_cols, jrow, swap_col)
-    else:
-        done = current.rows == max_inv_source_rows(num_cols)
-    if not done:
-        raise NotReducible(f"reduction ends at {current.rows}, not at the top")
-    return steps
-
-
 # ---------------------------------------------------------------------------
 # bricks
 # ---------------------------------------------------------------------------
 
 
-def max_inv_source_rows(num_cols: int) -> tuple[tuple[int, ...], ...]:
-    top = tuple(2 * num_cols + 2 - 2 * i for i in range(1, num_cols + 1))
-    bot = tuple(2 * num_cols + 1 - 2 * i for i in range(1, num_cols + 1))
-    return (top, bot)
-
-
 def max_inv_source(m: int, k: int) -> Rsyt:
     """Column-by-column filling of the two-row rectangle (mk, mk)."""
     _check_brick_params(m, k)
-    return Rsyt(max_inv_source_rows(m * k))
+    n = 2 * m * k
+    return Rsyt((tuple(range(n, 0, -2)), tuple(range(n - 1, 0, -2))))
 
 
 def brick_stack_target(m: int, k: int) -> Rsyt:
@@ -540,15 +398,6 @@ def layer_composition(m: int, k: int) -> tuple[int, ...]:
     return tuple(
         k - 1 - (i // (2 * m)) for i in range(2 * m * k)
     )
-
-
-def brick_of(row: int, col: int, m: int, shape) -> int:
-    """Brick index of a cell: bricks are 2 x m blocks, laid side by side in a
-    two-row shape and stacked vertically otherwise."""
-    shape = normalize_partition(shape)
-    if len(shape) == 2:
-        return (col - 1) // m
-    return (row - 1) // 2
 
 
 def _check_brick_params(m: int, k: int):

@@ -369,8 +369,6 @@ def clear_denominators(values) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     return _scale(prim, content), [_mul(c.num, cofactor[c.den]) for c in values]
 
 
-ZERO = RatFunc.from_int(0)
-ONE = RatFunc.from_int(1)
 KAPPA = RatFunc.kappa()
 
 

@@ -6,8 +6,7 @@ stacked tableau) whose Jack polynomial specializes without poles at
 kappa = n/(m+2), is killed by every Dunkl operator there, and carries the
 source tableau as its isotype.  This module constructs the family, certifies
 those properties exactly, certifies (not samples) that the associated module
-map commutes with x_i, s_i and D_i, builds its reverse, and runs exhaustive
-uniqueness oracles.
+map commutes with x_i, s_i and D_i, and runs exhaustive uniqueness oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .combinatorics import (
     brick_stack_target,
     compositions_strictly_below,
     enumerate_rsyt,
+    inv_statistic,
     layer_composition,
     max_inv_source,
     rank_permutation,
@@ -48,10 +48,6 @@ BadParams = BadShapeParams
 
 class NotIsotypic(ValueError):
     """The polynomial is not a simultaneous Jucys-Murphy eigenfunction."""
-
-
-class OrderViolation(ValueError):
-    """Pair tableau fails its monotonicity conditions."""
 
 
 class ClosureViolation(AssertionError):
@@ -465,44 +461,6 @@ def alpha_variants(m: int, k: int, s: int) -> AlphaVariants:
 
 
 # ---------------------------------------------------------------------------
-# pair tableau diagnostic
-# ---------------------------------------------------------------------------
-
-
-class PairTableau(NamedTuple):
-    rows: tuple  # tuples of (entry, sorted-composition value) pairs
-
-    def __str__(self):
-        return "\n".join(
-            " ".join(f"({a},{b})" for a, b in row) for row in self.rows
-        )
-
-
-def pair_tableau(beta, tableau) -> PairTableau:
-    """Place (i, beta^+_i) at the cell of entry i; valid pairs make the first
-    entries decrease and the second entries weakly increase along every row
-    and column.  Accepts column-strict tableaux as well, where the row
-    conditions can genuinely fail and the violation is the diagnostic."""
-    beta = tuple(beta)
-    if len(beta) != tableau.n:
-        raise BadParams("composition length does not match tableau size")
-    beta_plus = tuple(sorted(beta, reverse=True))
-    rows = tuple(
-        tuple((v, beta_plus[v - 1]) for v in row) for row in tableau.rows
-    )
-    for row in rows:
-        for (a1, b1), (a2, b2) in zip(row, row[1:]):
-            if not (a1 > a2 and b1 <= b2):
-                raise OrderViolation(f"row violation at {(a1, b1)}, {(a2, b2)}")
-    for r in range(len(rows) - 1):
-        for c in range(len(rows[r + 1])):
-            (a1, b1), (a2, b2) = rows[r][c], rows[r + 1][c]
-            if not (a1 > a2 and b1 <= b2):
-                raise OrderViolation(f"column violation at {(a1, b1)}, {(a2, b2)}")
-    return PairTableau(rows)
-
-
-# ---------------------------------------------------------------------------
 # norms: product formula against step recursion
 # ---------------------------------------------------------------------------
 
@@ -535,7 +493,15 @@ def norms_and_gamma(m: int, k: int) -> NormReport:
     the reduction graph (hence path-independently).  Both are products over
     content differences of the brick pairs, so no Jack polynomial is built.
     A step takes b and its gamma factor from ``jack.reflection_rule`` at the
-    higher label, whose spectral vector at kappa = 1/(m+2) is its source's."""
+    higher label, whose spectral vector at kappa = 1/(m+2) is its source's.
+
+    The recursion is anchored at the top source s0 = ``max_inv_source``,
+    whose norm and gamma are 1.  Every step low -> high is checked to raise
+    ``inv_statistic`` by exactly one, and s0 to be the only source with no
+    step.  So a walk along steps from any source raises inv at each step,
+    and, the sources being finite, ends at a source with no step: at s0.
+    Each edge of that walk was checked, so by induction from s0 down the
+    walk every source's product-formula values are those of the recursion."""
     from .combinatorics import apply_permissible_step, is_permissible_step
 
     by_source = {pair.source: pair for pair in brick_pairs(m, k)}
@@ -548,12 +514,18 @@ def norms_and_gamma(m: int, k: int) -> NormReport:
         raise AssertionError(f"norm or gamma of the top source {s0.rows} is not 1")
     kappa0 = Fraction(1, m + 2)
     steps = 0
+    stuck = []
     for low, low_pair in by_source.items():
         norm, gamma = table[low.content_vector()]
+        inv, steps_before = inv_statistic(low), steps
         for i in range(1, 2 * m * k):
             if not is_permissible_step(low, i):
                 continue
             high = by_source[apply_permissible_step(low, i)]
+            if inv_statistic(high.source) != inv + 1:
+                raise AssertionError(
+                    f"step {i} at {low.rows} does not raise inv by one"
+                )
             high_norm, high_gamma = table[high.source.content_vector()]
             rule = reflection_rule(high.beta, high.tableau, i)
             if rule.target != (low_pair.beta, low_pair.tableau):
@@ -566,25 +538,19 @@ def norms_and_gamma(m: int, k: int) -> NormReport:
             if gamma != rule.scalar.evaluate(kappa0) * high_gamma:
                 raise AssertionError(f"gamma recursion fails at {low.rows}, step {i}")
             steps += 1
+        if steps == steps_before:
+            stuck.append(low.rows)
+    if stuck != [s0.rows]:
+        raise AssertionError(
+            f"the sources with no permissible step are {stuck}, "
+            f"not the top source {s0.rows} alone"
+        )
     return NormReport(m=m, k=k, table=table, steps_checked=steps)
 
 
 # ---------------------------------------------------------------------------
-# the module map and its reverse
+# the module map
 # ---------------------------------------------------------------------------
-
-
-def mu_map(g: VectorPoly, m: int, k: int) -> VectorPoly:
-    """Linear map sending f (x) S to f * gamma_S * J_S at kappa = 1/(m+2);
-    commutes with multiplication, the group action, and the Dunkl operators."""
-    fam = family_context(m, k)
-    if g.shape != fam.sigma:
-        raise BadShapeParams(f"input must live on shape {fam.sigma}")
-    out = VectorPoly.zero(fam.tau)
-    for (exp, s_idx), coeff in g.terms.items():
-        member = fam.members[s_idx]
-        out = out + member.specialized.mul_monomial(exp, coeff * member.gamma)
-    return out
 
 
 class MuCommutationReport(NamedTuple):
@@ -606,12 +572,13 @@ class MuCommutationReport(NamedTuple):
 
 
 def mu_commutation_check(m: int, k: int) -> MuCommutationReport:
-    """Prove that ``mu_map`` commutes with every x_i, s_i and D_i in every
-    degree, from the family's two certificates at kappa0 = 1/(m+2); counts
-    their zero Dunkl images and transports, and raises what they raise.
+    """Prove that the module map mu, the P-linear map f (x) S -> f gamma_S J_S
+    from the two-row module to the stacked one, commutes with every x_i, s_i
+    and D_i in every degree, from the family's two certificates at kappa0 =
+    1/(m+2); counts their zero Dunkl images and transports, and raises what
+    they raise.
 
-    (a) mu(f (x) S) = f gamma_S J_S commutes with each x_i by definition,
-    because mu is P-linear.
+    (a) mu commutes with each x_i by definition, because it is P-linear.
     (b) mu is S_N-equivariant in every degree iff it is equivariant in
     degree 0 for the simple reflections, i.e. iff gamma_S s_i J_S =
     sum_R sigma(s_i)_{R,S} gamma_R J_R for every (S, i): the "matrix
@@ -629,57 +596,6 @@ def mu_commutation_check(m: int, k: int) -> MuCommutationReport:
     images = sum(len(record["dunkl_images"]) for record in cert.members)
     transports = sum(closure.case_counts.values())
     return MuCommutationReport(m, k, cert.kappa0, images, transports)
-
-
-class ReverseMapReport(NamedTuple):
-    m: int
-    k: int
-    kappa0: Fraction  # -1/(m+2)
-    # one (tableau contents, poly, singular, isotype contents) per RSYT T of
-    # tau = (m^{2k}): #RSYT(tau) entries, 1 for (1,2) and 14 for (2,2)
-    components: tuple
-
-
-def reverse_map_qT(m: int, k: int) -> ReverseMapReport:
-    """For each RSYT T of the stacked shape tau = (m^{2k}), assemble the
-    polynomial q_T with values in V_sigma, sigma = (mk, mk), whose components
-    are p_{S,T} * norm(T)^2 / norm(S)^2, and certify empirically that it is
-    singular at kappa = -1/(m+2) with isotype given by T itself.
-
-    There is one component per T, so #RSYT(tau) in all: 1 for (m, k) = (1, 2)
-    and 14 for (2, 2)."""
-    fam = family_context(m, k)
-    tau_tabs = enumerate_rsyt(fam.tau)
-    kappa_neg = Fraction(-1, m + 2)
-    components = []
-    for t_idx, t_tab in enumerate(tau_tabs):
-        norm_t = tableau_norm_squared(t_tab)
-        terms = {}
-        for s_idx, member in enumerate(fam.members):
-            ratio = norm_t / member.source_norm_squared
-            for (exp, tab), coeff in member.specialized.terms.items():
-                if tab != t_idx:
-                    continue
-                key = (exp, s_idx)
-                value = coeff * member.gamma * ratio
-                terms[key] = terms.get(key, Fraction(0)) + value
-        q = VectorPoly(fam.sigma, {k_: v for k_, v in terms.items() if v})
-        singular = all(
-            dunkl(i, q, kappa_neg).is_zero() for i in range(1, 2 * m * k + 1)
-        )
-        isotype = isotype_of(q)
-        components.append(
-            (t_tab.content_vector(), q, singular, isotype.content_vector())
-        )
-        if not singular:
-            raise NonzeroDunklImage(
-                f"reverse component of {t_tab.rows} is not singular"
-            )
-        if isotype != t_tab:
-            raise NotIsotypic(
-                f"reverse component isotype {isotype.rows} != {t_tab.rows}"
-            )
-    return ReverseMapReport(m, k, kappa_neg, tuple(components))
 
 
 # ---------------------------------------------------------------------------

@@ -5,30 +5,37 @@ reference formulas for the operators; combinatorial helpers only tests use;
 simple reflections applied to Jack polynomials over Q(kappa), the reference
 for ``jack.reflection_rule``; the content-gap classification of the closure
 cases, the reference for ``singular.closure_case``; and the sampled
-module-map check that the proof in ``mu_commutation_check`` replaced."""
+module-map check that the proof in ``mu_commutation_check`` replaced.
+
+References that no command reads, each kept under test: ``compare_order``
+(the order of ``compositions_strictly_below`` and its pool),
+``perm_apply_to_composition`` (the itemgetter of ``vectorpoly._mover``),
+``swapped_inv_max`` (of ``singular.alpha_variants``), the paper's reduction
+lemma ``reduce_by_permissible_steps``, the module map ``mu_map``, and the
+paper's reverse module map ``reverse_map_qT``."""
 
 import random
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import factorial
 from typing import NamedTuple
 
 from nsjack.combinatorics import (
     BadShapeParams,
     ColumnStrictTableau,
-    Comparison,
     Rsyt,
     _composition_pool,
+    apply_permissible_step,
     brick_stack_target,
-    compare_order,
     descent_word,
     enumerate_rsyt,
+    inv_statistic,
     layer_composition,
     max_inv_source,
     normalize_partition,
     sort_descending,
-    swapped_inv_max,
     transposition,
 )
 from nsjack.jack import (
@@ -41,7 +48,14 @@ from nsjack.jack import (
 )
 from nsjack.operators import cherednik_prime, dunkl
 from nsjack.ratfunc import KAPPA, RatFunc
-from nsjack.singular import ClosureViolation, family_context, mu_map
+from nsjack.singular import (
+    ClosureViolation,
+    NonzeroDunklImage,
+    NotIsotypic,
+    family_context,
+    isotype_of,
+    tableau_norm_squared,
+)
 from nsjack.vectorpoly import VectorPoly, group_action, leading_vector, tau_context
 
 
@@ -212,6 +226,47 @@ def eigensolve_jack(alpha, tableau, kappa0) -> VectorPoly:
     )
 
 
+def perm_apply_to_composition(w, alpha) -> tuple[int, ...]:
+    """(w . alpha)_i = alpha_{w^{-1}(i)}, so that (xw)^alpha = x^{w.alpha}."""
+    out = [0] * len(alpha)
+    for i, a in enumerate(alpha):
+        out[w[i] - 1] = a
+    return tuple(out)
+
+
+class Comparison(Enum):
+    LESS = "less"  # first argument strictly below in the composition order
+    GREATER = "greater"
+    EQUAL = "equal"
+    INCOMPARABLE = "incomparable"
+
+
+def _prefix_leq(alpha, beta) -> bool:
+    return all(s <= t for s, t in zip(accumulate(alpha), accumulate(beta)))
+
+
+def compare_order(alpha, beta) -> Comparison:
+    """Compare in the order on compositions refined from dominance.
+
+    alpha < beta iff |alpha| = |beta| and either the sorted rearrangement of
+    alpha is strictly dominated by that of beta, or the rearrangements agree
+    and alpha itself has weakly smaller prefix sums.
+    """
+    alpha, beta = tuple(alpha), tuple(beta)
+    if alpha == beta:
+        return Comparison.EQUAL
+    if len(alpha) != len(beta) or sum(alpha) != sum(beta):
+        return Comparison.INCOMPARABLE
+    ap, bp = sort_descending(alpha), sort_descending(beta)
+    if ap == bp:
+        ap, bp = alpha, beta
+    if _prefix_leq(ap, bp):
+        return Comparison.LESS
+    if _prefix_leq(bp, ap):
+        return Comparison.GREATER
+    return Comparison.INCOMPARABLE
+
+
 def compositions_strictly_below_by_order(alpha):
     """compositions_strictly_below by its definition: every member of the
     pool that ``compare_order`` puts strictly below alpha, in pool order."""
@@ -224,7 +279,9 @@ def compositions_strictly_below_by_order(alpha):
 
 
 # ---------------------------------------------------------------------------
-# distinguished tableaux and one-swap classes of the two-row rectangle
+# distinguished tableaux and one-swap classes of the two-row rectangle, and
+# the paper's reduction lemma: every tableau of a class reaches the class's
+# inv-maximal member by permissible steps, each raising inv by one
 # ---------------------------------------------------------------------------
 
 
@@ -251,6 +308,23 @@ def distinguished_tableaux(m: int, k: int) -> DistinguishedTableaux:
     )
 
 
+def swapped_inv_max(num_cols: int, j: int, n: int) -> ColumnStrictTableau:
+    """The inv-maximal member of the one-swap class: column filling of the
+    two-row shape with the 2x2 block at columns n, n+1 rearranged; the
+    reference for ``singular.alpha_variants``."""
+    if not (1 <= n < num_cols) or j not in (1, 2):
+        raise BadShapeParams(f"need 1 <= n < {num_cols} and j in {{1,2}}")
+    top, bot = list(range(2 * num_cols, 0, -2)), list(range(2 * num_cols - 1, 0, -2))
+    v = 2 * num_cols - 2 * n
+    if j == 1:
+        block = ((v + 1, v + 2), (v, v - 1))
+    else:
+        block = ((v + 2, v + 1), (v - 1, v))
+    top[n - 1], top[n] = block[0]
+    bot[n - 1], bot[n] = block[1]
+    return ColumnStrictTableau((top, bot))
+
+
 def enumerate_one_swap_class(num_cols: int, j: int, n: int) -> tuple:
     """All column-strict tableaux one row-swap (at row j, columns n, n+1)
     away from an RSYT of the two-row rectangle."""
@@ -263,6 +337,78 @@ def enumerate_one_swap_class(num_cols: int, j: int, n: int) -> tuple:
         except ValueError:
             continue
     return tuple(out)
+
+
+class NotReducible(ValueError):
+    """Tableau is not reducible by permissible steps (wrong shape or class)."""
+
+
+def _row_violation(tab) -> tuple[int, int] | None:
+    """The unique adjacent row inversion (row, col), if there is exactly one."""
+    bad = [
+        (r + 1, c + 1) for r, row in enumerate(tab.rows) for c in range(len(row) - 1)
+        if row[c] < row[c + 1]
+    ]
+    return bad[0] if len(bad) == 1 else None
+
+
+def reduce_by_permissible_steps(tab) -> list[int]:
+    """Indices of permissible steps carrying the tableau to the inv-maximal
+    element of its class (the column filling, or its one-swap variant).
+
+    Works on two-row column-strict tableaux: RSYT reduce to the column-by-
+    column filling, and one-row-swap tableaux to the corresponding swapped
+    filling.  Each returned step raises inv by exactly 1.
+    """
+    if len(tab.shape) != 2 or tab.shape[0] != tab.shape[1]:
+        raise NotReducible(f"need a two-row rectangle, got shape {tab.shape}")
+    num_cols = tab.shape[0]
+    violation = _row_violation(tab)
+    jrow = swap_col = None
+    if not isinstance(tab, Rsyt):
+        if violation is None:
+            try:
+                tab = Rsyt(tab.rows)
+            except ValueError as exc:
+                raise NotReducible("not an RSYT nor one row swap away") from exc
+        else:
+            jrow, swap_col = violation
+            fixed = [list(r) for r in tab.rows]
+            row = fixed[jrow - 1]
+            row[swap_col - 1], row[swap_col] = row[swap_col], row[swap_col - 1]
+            try:
+                Rsyt(fixed)
+            except ValueError as exc:
+                raise NotReducible("not an RSYT nor one row swap away") from exc
+
+    steps = []
+    current = tab
+
+    def step(i):
+        nonlocal current
+        before = inv_statistic(current)
+        current = apply_permissible_step(current, i)
+        if inv_statistic(current) != before + 1:
+            raise NotReducible(f"step {i} does not raise the inversion count by one")
+        steps.append(i)
+
+    # fix columns left to right: raise the bottom entry until it is one below
+    # the top.  For the swapped class, stop before the displaced block.
+    limit = num_cols - 1 if swap_col is None else swap_col - 1
+    for col in range(1, limit + 1):
+        while current.entry(2, col) < current.entry(1, col) - 1:
+            step(current.entry(2, col))
+    # fix columns right to left: lower the top entry until one above the bottom
+    if swap_col is not None:
+        for col in range(num_cols, swap_col + 1, -1):
+            while current.entry(1, col) > current.entry(2, col) + 1:
+                step(current.entry(1, col) - 1)
+        done = current == swapped_inv_max(num_cols, jrow, swap_col)
+    else:
+        done = current == max_inv_source(1, num_cols)
+    if not done:
+        raise NotReducible(f"reduction ends at {current.rows}, not at the top")
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +628,21 @@ def content_gap_case(source, beta, i):
 
 # ---------------------------------------------------------------------------
 # the module map, sampled: the reference for the proof in
-# ``singular.mu_commutation_check``
+# ``singular.mu_commutation_check``; and the paper's reverse module map, which
+# no command reports, so it stays a test of the paper's claim
 # ---------------------------------------------------------------------------
+
+
+def mu_map(g: VectorPoly, m: int, k: int) -> VectorPoly:
+    """Linear map sending f (x) S to f * gamma_S * J_S at kappa = 1/(m+2)."""
+    fam = family_context(m, k)
+    if g.shape != fam.sigma:
+        raise BadShapeParams(f"input must live on shape {fam.sigma}")
+    out = VectorPoly.zero(fam.tau)
+    for (exp, s_idx), coeff in g.terms.items():
+        member = fam.members[s_idx]
+        out = out + member.specialized.mul_monomial(exp, coeff * member.gamma)
+    return out
 
 
 def random_source_polynomial(rng: random.Random, m: int, k: int, degree: int):
@@ -532,3 +691,44 @@ def mu_commutation_sampled(m, k, degree, trials, seed) -> int:
                 raise ClosureViolation(f"mu fails to commute with D_{i}")
             checks += 1
     return checks
+
+
+class ReverseMapReport(NamedTuple):
+    m: int
+    k: int
+    kappa0: Fraction  # -1/(m+2)
+    # one (tableau contents, poly, singular, isotype contents) per RSYT T of
+    # tau = (m^{2k}): #RSYT(tau) entries, 1 for (1,2) and 14 for (2,2)
+    components: tuple
+
+
+def reverse_map_qT(m: int, k: int) -> ReverseMapReport:
+    """For each RSYT T of the stacked shape tau = (m^{2k}), assemble the
+    polynomial q_T with values in V_sigma, sigma = (mk, mk), whose components
+    are p_{S,T} * norm(T)^2 / norm(S)^2, and certify empirically that it is
+    singular at kappa = -1/(m+2) with isotype given by T itself.
+
+    There is one component per T, so #RSYT(tau) in all: 1 for (m, k) = (1, 2)
+    and 14 for (2, 2)."""
+    fam = family_context(m, k)
+    tau_tabs = enumerate_rsyt(fam.tau)
+    kappa_neg = Fraction(-1, m + 2)
+    components = []
+    for t_idx, t_tab in enumerate(tau_tabs):
+        norm_t = tableau_norm_squared(t_tab)
+        terms = {}
+        for s_idx, member in enumerate(fam.members):
+            ratio = norm_t / member.source_norm_squared
+            terms.update(
+                ((exp, s_idx), coeff * member.gamma * ratio)
+                for (exp, tab), coeff in member.specialized.terms.items()
+                if tab == t_idx
+            )
+        q = VectorPoly(fam.sigma, {k_: v for k_, v in terms.items() if v})
+        if not all(dunkl(i, q, kappa_neg).is_zero() for i in range(1, q.n + 1)):
+            raise NonzeroDunklImage(f"reverse component of {t_tab.rows} is not singular")
+        isotype = isotype_of(q)
+        if isotype != t_tab:
+            raise NotIsotypic(f"reverse isotype {isotype.rows} != {t_tab.rows}")
+        components.append((t_tab.content_vector(), q, True, isotype.content_vector()))
+    return ReverseMapReport(m, k, kappa_neg, tuple(components))

@@ -694,6 +694,44 @@ def test_norms_with_a_forged_gamma_exits_1(monkeypatch, capsys):
     assert_failure_document(code, capsys, "gamma recursion")
 
 
+def _hide_the_steps_of(low, high, i, steps):
+    # the lower source then has no step, so it never reaches the top source
+    return (lambda tab, j: tab != low and steps(tab, j)), str(low.rows)
+
+
+def _step_down_from(low, high, i, steps):
+    # the step reversed, high -> low, lowers inv by one
+    return (
+        (lambda tab, j: (tab, j) == (high, i) or steps(tab, j)),
+        f"step {i} at {high.rows} does not raise inv by one",
+    )
+
+
+@pytest.mark.parametrize("forge", [_hide_the_steps_of, _step_down_from])
+def test_norms_with_a_forged_step_exits_1(forge, monkeypatch, capsys):
+    # every source must climb to the top source by steps that raise inv by one
+    import re
+
+    from nsjack import combinatorics
+    from nsjack.singular import norms_and_gamma
+
+    steps, top = combinatorics.is_permissible_step, combinatorics.max_inv_source(2, 2)
+    low, i = next(
+        (source, i)
+        for source in combinatorics.enumerate_rsyt((4, 4))
+        if source != top
+        for i in range(1, 8)
+        if steps(source, i)
+    )
+    high = combinatorics.apply_permissible_step(low, i)
+    forged, match = forge(low, high, i, steps)
+    monkeypatch.setattr(combinatorics, "is_permissible_step", forged)
+    with pytest.raises(AssertionError, match=re.escape(match)):
+        norms_and_gamma(2, 2)
+    code = main(["--format", "json", "norms", "--m", "2", "--k", "2"])
+    assert_failure_document(code, capsys, match)
+
+
 def _scalar_times_2(rule, label):
     return rule._replace(scalar=rule.scalar + rule.scalar)
 

@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from nsjack.combinatorics import (
     BadShapeParams,
     ColumnStrictTableau,
-    Comparison,
     NoSuchTableau,
-    NotReducible,
     Rsyt,
     _composition_pool,
     apply_permissible_step,
-    brick_of,
     brick_stack_target,
-    compare_order,
     compositions_strictly_below,
     enumerate_rsyt,
     inv_statistic,
@@ -25,23 +21,26 @@ from nsjack.combinatorics import (
     layer_composition,
     max_inv_source,
     multiset_permutations,
-    perm_apply_to_composition,
     rank_permutation,
-    reduce_by_permissible_steps,
     rsyt_from_contents,
     sort_descending,
-    swapped_inv_max,
 )
 
 from nsjack.singular import brick_pairs
 
 from oracles import (
+    Comparison,
+    NotReducible,
     catalan,
+    compare_order,
     compositions_of_degree,
     compositions_strictly_below_by_order,
     distinguished_tableaux,
     enumerate_one_swap_class,
     hook_length_count,
+    perm_apply_to_composition,
+    reduce_by_permissible_steps,
+    swapped_inv_max,
 )
 
 # -- independent oracles -----------------------------------------------------
@@ -387,18 +386,12 @@ def test_distinguished_bundle():
         distinguished_tableaux(1, 1)
 
 
-def test_brick_of_cells():
-    assert brick_of(3, 1, 3, (3, 3, 3, 3)) == 1
-    assert brick_of(1, 1, 2, (4, 4)) == 0
-    assert brick_of(2, 2, 2, (2, 2, 2, 2)) == 0
-    assert brick_of(1, 5, 2, (8, 8)) == 2
-
-
 def test_brick_entry_ranges_in_stack():
-    # every entry of the standard stack lies in the brick of its layer value
+    # every entry of the standard stack lies in the brick of its layer value:
+    # the bricks are stacked 2 x m blocks, so row r is in brick (r - 1) // 2
     for m, k in [(1, 2), (2, 2), (3, 3)]:
         t0 = brick_stack_target(m, k)
         lam = layer_composition(m, k)
         for entry in range(1, 2 * m * k + 1):
-            r, c = t0.cell(entry)
-            assert brick_of(r, c, m, t0.shape) == lam[entry - 1]
+            row, _ = t0.cell(entry)
+            assert (row - 1) // 2 == lam[entry - 1]

@@ -8,9 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from nsjack.combinatorics import (
-    Comparison,
     Rsyt,
-    compare_order,
     enumerate_rsyt,
     layer_composition,
     brick_stack_target,
@@ -37,7 +35,9 @@ from nsjack.singular import brick_map, family_context
 from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
 
 from oracles import (
+    Comparison,
     apply_simple_reflection,
+    compare_order,
     eigensolve_jack,
     exponent_code,
     verify_eigen_equations_ratfunc,

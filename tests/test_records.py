@@ -80,20 +80,20 @@ def install_guards(monkeypatch, uses: list) -> None:
 
 def test_the_records_are_the_named_tuples():
     names = {cls.__name__ for cls in record_classes()}
-    assert len(names) == 16  # 14 result records, vectorpoly.Packed and Seminormal
-    assert {"JackPolynomial", "FamilyMember", "PairTableau", "Packed"} <= names
+    assert len(names) == 14  # 12 result records, vectorpoly.Packed and Seminormal
+    assert {"JackPolynomial", "FamilyMember", "Seminormal", "Packed"} <= names
 
 
 def test_the_guards_log_tuple_uses(monkeypatch):
     uses = []
     install_guards(monkeypatch, uses)
-    rows = ((3, 1), (4, 2))
-    pair = singular.PairTableau(rows)
-    assert pair._replace(rows=rows) == pair and not uses
-    assert pair._asdict() == {"rows": rows} and not uses
-    assert pair == (rows,) and len(pair) == 1
-    (unpacked,) = pair
-    assert unpacked == rows and sorted([pair, pair])
+    columns = ((3, 1), (4, 2))
+    record = vectorpoly.Seminormal(columns, 2, 4)
+    assert record._replace(d=2) == record and not uses
+    assert record._asdict() == {"columns": columns, "d": 2, "norm": 4} and not uses
+    assert record == (columns, 2, 4) and len(record) == 3
+    unpacked, _, _ = record
+    assert unpacked == columns and sorted([record, record])
     assert len(uses) == 4 and all(use.endswith(__name__) for use in uses)
 
 

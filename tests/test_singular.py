@@ -16,7 +16,6 @@ from nsjack.combinatorics import (
     enumerate_rsyt,
     layer_composition,
     max_inv_source,
-    swapped_inv_max,
 )
 from nsjack.jack import construct_jack, spectral_vector_at, specialize
 from nsjack.operators import dunkl
@@ -26,7 +25,6 @@ from nsjack.singular import (
     ClosureViolation,
     NonzeroDunklImage,
     NotIsotypic,
-    OrderViolation,
     alpha_variants,
     brick_map,
     brick_pairs,
@@ -36,16 +34,20 @@ from nsjack.singular import (
     family_context,
     isotype_of,
     mu_commutation_check,
-    mu_map,
     norms_and_gamma,
-    pair_tableau,
-    reverse_map_qT,
     singular_family,
     uniqueness_oracle,
 )
 from nsjack.vectorpoly import VectorPoly
 
-from oracles import content_gap_case, hook_length_count, mu_commutation_sampled
+from oracles import (
+    content_gap_case,
+    hook_length_count,
+    mu_commutation_sampled,
+    mu_map,
+    reverse_map_qT,
+    swapped_inv_max,
+)
 
 
 # -- brick map -----------------------------------------------------------------
@@ -264,41 +266,6 @@ def test_alpha_variants_outside_window_match_base():
 def test_alpha_variants_param_guard():
     with pytest.raises(BadParams):
         alpha_variants(2, 2, 2)
-
-
-# -- pair tableau ----------------------------------------------------------------
-
-
-def test_pair_tableau_printed_golden():
-    t = Rsyt([[12, 11, 10, 6], [9, 8, 5, 2], [7, 4, 3, 1]])
-    beta = (1, 2, 0, 2, 0, 1, 3, 0, 3, 1, 2, 1)
-    x = pair_tableau(beta, t)
-    assert x.rows == (
-        ((12, 0), (11, 0), (10, 0), (6, 1)),
-        ((9, 1), (8, 1), (5, 2), (2, 3)),
-        ((7, 1), (4, 2), (3, 2), (1, 3)),
-    )
-
-
-def test_pair_tableau_trivial_and_layers():
-    t = brick_stack_target(1, 2)
-    x = pair_tableau((0, 0, 0, 0), t)
-    assert all(b == 0 for row in x.rows for _, b in row)
-    x2 = pair_tableau(layer_composition(1, 2), t)
-    assert tuple(b for row in x2.rows for _, b in row) == (0, 0, 1, 1)
-
-
-def test_pair_tableau_order_is_automatic_for_rsyt():
-    # sorted second entries plus decreasing first entries can never clash
-    for shape in [(2, 2), (3, 1)]:
-        for t in enumerate_rsyt(shape):
-            pair_tableau((2, 1, 1, 0), t)
-
-
-def test_pair_tableau_order_violation_on_row_swapped_input():
-    t = ColumnStrictTableau([[3, 4], [2, 1]])
-    with pytest.raises(OrderViolation):
-        pair_tableau((1, 1, 0, 0), t)
 
 
 # -- norms ------------------------------------------------------------------------
