@@ -8,14 +8,7 @@ Every reverse standard Young tableau of the two-row rectangle maps to a label
 
 from fractions import Fraction
 
-from nsjack import (
-    brick_map,
-    brick_stack_target,
-    enumerate_rsyt,
-    layer_composition,
-    max_inv_source,
-    spectral_vector_at,
-)
+from nsjack import brick_map, enumerate_rsyt, max_inv_source, spectral_vector_at
 
 m, k = 2, 2
 print(f"two-row rectangle with {m * k} columns, bricks of width {m}\n")
@@ -35,6 +28,12 @@ for source in enumerate_rsyt((m * k, m * k)):
 
 print("the column filling maps to the layer composition and the brick stack:")
 pair0 = brick_map(max_inv_source(m, k), m)
-assert pair0.beta == layer_composition(m, k)
-assert pair0.tableau == brick_stack_target(m, k)
+# entry slot i lies in brick layer k - 1 - (i // 2m), and level l of the
+# stack is the standard 2 x m brick on 2m(k - l) down, filled by columns
+assert pair0.beta == tuple(k - 1 - i // (2 * m) for i in range(2 * m * k))
+assert pair0.tableau.rows == tuple(
+    tuple(2 * m * (k - level) - r - 2 * j for j in range(m))
+    for level in range(k)
+    for r in (0, 1)
+)
 print(f"  {pair0.beta}")

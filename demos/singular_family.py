@@ -17,13 +17,13 @@ print(f"kappa = {cert.kappa0}, family size {len(cert.members)}\n")
 fam = family_context(1, 2)
 for member in fam.members:
     print("source:")
-    print(member.source)
+    print(member.pair.source)
     print(f"label: {member.label}")
     print(f"polynomial has {len(member.specialized.terms)} terms")
     for i in range(1, 5):
         assert dunkl(i, member.specialized, fam.kappa0).is_zero()
     print("all Dunkl images vanish")
-    print(f"isotype recovered: {isotype_of(member.specialized) == member.source}")
+    print(f"isotype recovered: {isotype_of(member.specialized) == member.pair.source}")
     print()
 
 print("certificate document (first member, truncated):")

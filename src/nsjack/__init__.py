@@ -7,18 +7,15 @@ from .combinatorics import (
     ColumnStrictTableau,
     NoSuchTableau,
     Rsyt,
-    brick_stack_target,
     compositions_strictly_below,
     enumerate_rsyt,
     inv_statistic,
-    layer_composition,
     max_inv_source,
     rank_permutation,
     rsyt_from_contents,
 )
 from .jack import (
     JackPolynomial,
-    ReflectionCase,
     ZeroDenominator,
     b_value,
     construct_jack,
@@ -30,7 +27,6 @@ from .jack import (
 from .operators import cherednik, cherednik_prime, dunkl, jucys_murphy
 from .ratfunc import KAPPA, PoleAtKappa, RatFunc, parse_rational
 from .singular import (
-    BadParams,
     BrickIdentityViolation,
     BrickPair,
     ClosureViolation,

@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 on a mathematical verification failure (any
 failed check, caught once in ``main``: the emitted document carries the
 evidence), 2 on usage errors, which include bad family parameters, malformed
 integer lists or kappa values, contents of no tableau, tableau entries that
-are not integers, unreadable input files, an unwritable output file and
+are not integers, unreadable input files, an unwritable output file,
 operator parameters out of range (an index outside 1..n, kappa = 0 for
-U'_i); these print one line on standard error.
+U'_i) and an input polynomial with a pole at the requested kappa; these
+print one line on standard error.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .combinatorics import (
     ColumnStrictTableau,
     NoSuchTableau,
     Rsyt,
-    brick_stack_target,
-    layer_composition,
+    max_inv_source,
     rsyt_from_contents,
 )
 from .jack import ZeroDenominator, construct_jack, specialize
@@ -122,12 +122,12 @@ def _cmd_brickmap(args):
 
 
 def _cmd_uniq_check(args):
-    t0 = brick_stack_target(args.m, args.k)
+    top = brick_map(max_inv_source(args.m, args.k), args.m)
     kappa0 = Fraction(1, args.m + 2)
     if args.s is None:
         if args.variant is not None:
             raise UsageError("--variant selects a swapped label and needs --s")
-        beta = layer_composition(args.m, args.k)
+        beta = top.beta
         doc_extra = {}
     else:
         variants = alpha_variants(args.m, args.k, args.s)
@@ -139,7 +139,7 @@ def _cmd_uniq_check(args):
                 format_rational(v) for v in variants.spectral_window(name)
             ],
         }
-    report = uniqueness_oracle(beta, t0, kappa0)
+    report = uniqueness_oracle(beta, top.tableau, kappa0)
     doc = report.to_json()
     doc.update(doc_extra)
     verdict = "Unique" if report.unique else f"{len(report.collisions)} collisions"
@@ -260,9 +260,12 @@ def _cmd_apply_operator(args):
         raise UsageError(f"index {args.index} outside 1..{poly.n}")
     kappa = _parse_kappa(args.kappa) if args.kappa is not None else None
     if kappa is not None:
-        poly = poly.map_coefficients(
-            lambda c: c.evaluate(kappa) if isinstance(c, RatFunc) else c
-        )
+        try:
+            poly = poly.map_coefficients(
+                lambda c: c.evaluate(kappa) if isinstance(c, RatFunc) else c
+            )
+        except PoleAtKappa as exc:
+            raise UsageError(f"{args.input} has a coefficient with a {exc}") from None
     try:
         result = _OPERATORS[args.op](args.index, poly, kappa)
     except ValueError as exc:  # a parameter the operator rejects: kappa = 0 for U'_i

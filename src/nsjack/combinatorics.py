@@ -374,32 +374,10 @@ def apply_permissible_step(tab, i: int):
 
 
 def max_inv_source(m: int, k: int) -> Rsyt:
-    """Column-by-column filling of the two-row rectangle (mk, mk)."""
-    _check_brick_params(m, k)
+    """Column-by-column filling of the two-row rectangle (mk, mk), the
+    inv-maximal source; its brick map is the top label of the family."""
+    if m < 1 or k < 2:
+        raise BadShapeParams(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     n = 2 * m * k
     return Rsyt((tuple(range(n, 0, -2)), tuple(range(n - 1, 0, -2))))
 
-
-def brick_stack_target(m: int, k: int) -> Rsyt:
-    """Stack of k standard 2 x m bricks, each filled column by column,
-    of shape (m^(2k))."""
-    _check_brick_params(m, k)
-    rows = []
-    for level in range(k):
-        base = 2 * m * (k - level)
-        rows.append(tuple(base - 2 * j for j in range(m)))
-        rows.append(tuple(base - 1 - 2 * j for j in range(m)))
-    return Rsyt(rows)
-
-
-def layer_composition(m: int, k: int) -> tuple[int, ...]:
-    """((k-1)^{2m}, (k-2)^{2m}, ..., 0^{2m}): brick layer of each entry slot."""
-    _check_brick_params(m, k)
-    return tuple(
-        k - 1 - (i // (2 * m)) for i in range(2 * m * k)
-    )
-
-
-def _check_brick_params(m: int, k: int):
-    if m < 1 or k < 2:
-        raise BadShapeParams(f"need m >= 1 and k >= 2, got m={m}, k={k}")

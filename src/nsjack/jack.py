@@ -38,7 +38,6 @@ from it.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -470,17 +469,7 @@ def specialize(jack: JackPolynomial, kappa0) -> VectorPoly:
 # ---------------------------------------------------------------------------
 
 
-class ReflectionCase(Enum):
-    EXPONENT_RAISE = "exponent_raise"  # alpha_{i+1} > alpha_i
-    EXPONENT_LOWER = "exponent_lower"  # alpha_i > alpha_{i+1}
-    ROW_EIGENVECTOR = "row_eigenvector"  # adjacent entries share a row: +1
-    COLUMN_EIGENVECTOR = "column_eigenvector"  # share a column: -1
-    TABLEAU_RAISE = "tableau_raise"  # entry swap valid, reciprocal gap > 0
-    TABLEAU_LOWER = "tableau_lower"  # entry swap valid, reciprocal gap < 0
-
-
 class ReflectionRule(NamedTuple):
-    case: ReflectionCase
     b: RatFunc
     scalar: RatFunc  # (s_i - b) J = scalar * J_target, or the eigenvalue
     target: tuple | None  # (alpha', tableau'), None for an eigenvector
@@ -500,19 +489,17 @@ def reflection_rule(alpha, tableau: Rsyt, i: int) -> ReflectionRule:
     one = RatFunc.from_int(1)
     if alpha[i - 1] != alpha[i]:
         target = (alpha[: i - 1] + (alpha[i], alpha[i - 1]) + alpha[i + 1 :], tableau)
-        if alpha[i] > alpha[i - 1]:
-            return ReflectionRule(ReflectionCase.EXPONENT_RAISE, b, one, target)
-        return ReflectionRule(ReflectionCase.EXPONENT_LOWER, b, one - b * b, target)
-    j = rank_permutation(alpha)[i - 1]
-    (rj, cj), (rj1, cj1) = tableau.cell(j), tableau.cell(j + 1)
-    if rj == rj1:
-        return ReflectionRule(ReflectionCase.ROW_EIGENVECTOR, b, one, None)
-    if cj == cj1:
-        return ReflectionRule(ReflectionCase.COLUMN_EIGENVECTOR, b, -one, None)
-    target = (alpha, Rsyt(tableau.swap_entries(j)))
-    if cj > cj1:
-        return ReflectionRule(ReflectionCase.TABLEAU_RAISE, b, one, target)
-    return ReflectionRule(ReflectionCase.TABLEAU_LOWER, b, one - b * b, target)
+        lowering = alpha[i - 1] > alpha[i]
+    else:
+        j = rank_permutation(alpha)[i - 1]
+        (rj, cj), (rj1, cj1) = tableau.cell(j), tableau.cell(j + 1)
+        if rj == rj1:
+            return ReflectionRule(b, one, None)
+        if cj == cj1:
+            return ReflectionRule(b, -one, None)
+        target = (alpha, Rsyt(tableau.swap_entries(j)))
+        lowering = cj < cj1
+    return ReflectionRule(b, one - b * b if lowering else one, target)
 
 
 def verify_eigen_equations(jack: JackPolynomial, indices=None):

@@ -20,11 +20,9 @@ from .combinatorics import (
     BadShapeParams,
     ColumnStrictTableau,
     Rsyt,
-    brick_stack_target,
     compositions_strictly_below,
     enumerate_rsyt,
     inv_statistic,
-    layer_composition,
     max_inv_source,
     rank_permutation,
     rsyt_from_contents,
@@ -42,8 +40,6 @@ from .jack import (
 from .operators import cherednik_prime, dunkl, jucys_murphy
 from .ratfunc import PoleAtKappa, format_rational
 from .vectorpoly import VectorPoly, group_action, tau_context
-
-BadParams = BadShapeParams
 
 
 class NotIsotypic(ValueError):
@@ -76,8 +72,6 @@ class BrickPair(NamedTuple):
     beta: tuple[int, ...]
     tableau: Rsyt
     source: ColumnStrictTableau | Rsyt
-    m: int
-    k: int
 
 
 def brick_map(source, m: int) -> BrickPair:
@@ -120,7 +114,7 @@ def brick_map(source, m: int) -> BrickPair:
             raise BrickIdentityViolation(
                 f"brick content identity fails at entry {i + 1}"
             )
-    return BrickPair(beta, tableau, source, m, k)
+    return BrickPair(beta, tableau, source)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +167,6 @@ def brick_pairs(m: int, k: int) -> list[BrickPair]:
 
 
 class FamilyMember(NamedTuple):
-    source: Rsyt
     pair: BrickPair
     label: tuple[int, ...]  # n * beta
     jack: JackPolynomial
@@ -208,7 +201,7 @@ def family_context(m: int, k: int, n: int = 1) -> FamilyContext:
 def _family_context(m: int, k: int, n: int) -> FamilyContext:
     pairs = brick_pairs(m, k)
     if n < 1 or gcd(n, m + 2) != 1:
-        raise BadParams(f"need n >= 1 coprime to m+2, got n={n}")
+        raise BadShapeParams(f"need n >= 1 coprime to m+2, got n={n}")
     kappa0 = Fraction(n, m + 2)
     # every label permutes one partition: the members share their U'_i columns
     columns = ColumnTable((m,) * (2 * k), n * sum(pairs[0].beta))
@@ -219,7 +212,6 @@ def _family_context(m: int, k: int, n: int) -> FamilyContext:
         spec = specialize(jack, kappa0)
         members.append(
             FamilyMember(
-                source=pair.source,
                 pair=pair,
                 label=label,
                 jack=jack,
@@ -256,32 +248,30 @@ def singular_family(m: int, k: int, n: int = 1) -> SingularCertificate:
     fam = family_context(m, k, n)
     records = []
     for member in fam.members:
-        spec = member.specialized
+        spec, source = member.specialized, member.pair.source
         dunkl_images = []
         for i in range(1, 2 * m * k + 1):
             image = dunkl(i, spec, fam.kappa0)
             if not image.is_zero():
                 raise NonzeroDunklImage(
                     f"Dunkl index {i} does not kill the member of source "
-                    f"{member.source.rows}"
+                    f"{source.rows}"
                 )
             dunkl_images.append(image.to_json())
         isotype = isotype_of(spec)
-        if isotype != member.source:
-            raise NotIsotypic(
-                f"isotype {isotype.rows} != source {member.source.rows}"
-            )
+        if isotype != source:
+            raise NotIsotypic(f"isotype {isotype.rows} != source {source.rows}")
         zeta = spectral_vector_at(member.label, member.pair.tableau, fam.kappa0)
-        if zeta != tuple(map(Fraction, member.source.content_vector())):
+        if zeta != tuple(map(Fraction, source.content_vector())):
             raise NotIsotypic(f"spectral vector of {member.label} != source contents")
         records.append(
             {
-                "source": [list(r) for r in member.source.rows],
+                "source": [list(r) for r in source.rows],
                 "beta": list(member.label),
                 "tableau": [list(r) for r in member.pair.tableau.rows],
                 "spectral": [format_rational(z) for z in zeta],
                 "dunkl_images": dunkl_images,
-                "omega_eigenvalues": list(member.source.content_vector()),
+                "omega_eigenvalues": list(source.content_vector()),
                 "gamma": format_rational(member.gamma),
                 "source_norm_squared": format_rational(member.source_norm_squared),
                 "pole_free": True,
@@ -372,8 +362,7 @@ def uniqueness_oracle(beta, tableau: Rsyt, kappa0) -> UniquenessReport:
     kappa0 = Fraction(kappa0)
     p, q = kappa0.as_integer_ratio()
     target = [a * q + c * p for a, c in spectral_pairs(beta, tableau)]
-    tabs = enumerate_rsyt(tableau.shape)
-    by_contents = {tab.content_vector(): tab for tab in tabs}
+    ctx = tau_context(tableau.shape)
     candidates = list(compositions_strictly_below(beta)) + [beta]
     collisions = []
     for gamma in candidates:
@@ -384,16 +373,16 @@ def uniqueness_oracle(beta, tableau: Rsyt, kappa0) -> UniquenessReport:
                 break
             contents[r - 1] = c
         else:
-            tab = by_contents.get(tuple(contents))
-            if tab is not None and (gamma, tab) != (beta, tableau):
-                collisions.append((gamma, tab))
+            row = ctx.index.get(tuple(contents))
+            if row is not None and (gamma, ctx.tableaux[row]) != (beta, tableau):
+                collisions.append((gamma, ctx.tableaux[row]))
     return UniquenessReport(
         beta=beta,
         tableau=tableau,
         kappa0=kappa0,
         unique=not collisions,
         collisions=tuple(collisions),
-        enumeration_size=len(candidates) * len(tabs),
+        enumeration_size=len(candidates) * ctx.dim,
     )
 
 
@@ -428,14 +417,15 @@ class AlphaVariants(NamedTuple):
 
 
 def alpha_variants(m: int, k: int, s: int) -> AlphaVariants:
-    """The two compositions reached from the layer composition by two simple
-    swaps around the boundary of bricks s-1 and s, together with their
-    specialized spectral vectors; their spectral vectors reproduce the content
-    vectors of the one-swap inv-maximal tableaux."""
+    """The two compositions reached from the layer composition, the top
+    label's beta, by two simple swaps around the boundary of bricks s-1 and
+    s, together with their specialized spectral vectors at the top label's
+    tableau; their spectral vectors reproduce the content vectors of the
+    one-swap inv-maximal tableaux."""
     if not 1 <= s <= k - 1:
-        raise BadParams(f"need 1 <= s <= k-1, got s={s}")
-    lam = layer_composition(m, k)
-    t0 = brick_stack_target(m, k)
+        raise BadShapeParams(f"need 1 <= s <= k-1, got s={s}")
+    top = brick_map(max_inv_source(m, k), m)
+    lam, t0 = top.beta, top.tableau
     i0 = 2 * m * (k - s)
     swapped = _swap(lam, i0)
     variant1 = _swap(swapped, i0 + 1)
@@ -671,7 +661,7 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     big_l = lcm(*(c.denominator for p in scaled for c in p.terms.values()))
     cleared = [p.map_coefficients(lambda c: int(c * big_l)) for p in scaled]
     for s_idx, member in enumerate(fam.members):
-        source, beta, tab = member.source, member.pair.beta, member.pair.tableau
+        source, beta, tab = member.pair.source, member.pair.beta, member.pair.tableau
         if beta[-1] != 0:
             raise ClosureViolation(f"top entry of {source.rows} is not in the first brick")
         for i in range(1, nvars):

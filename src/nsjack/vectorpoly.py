@@ -343,7 +343,7 @@ class VectorPoly:
     def from_json(obj, shape=None) -> "VectorPoly":
         """The polynomial of ``to_json``'s list; a ValueError for an exponent
         that is not a list of nonnegative integers, tableau contents that are
-        not integers, or a zero denominator."""
+        not integers or not of the shape, or a zero denominator."""
         from .combinatorics import rsyt_from_contents
 
         terms = {}
@@ -367,7 +367,11 @@ class VectorPoly:
                     value = RatFunc.from_json(coeff)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {coeff!r}") from None
-            key = (exp, ctx.index_of(tableau))
+            if contents not in ctx.index:
+                raise ValueError(
+                    f"tableau contents {list(contents)} are not of shape {ctx.shape}"
+                )
+            key = (exp, ctx.index[contents])
             terms[key] = terms.get(key, 0) + value if key in terms else value
         if shape is None:
             raise ValueError("cannot infer shape from an empty polynomial")

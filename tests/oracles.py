@@ -7,8 +7,11 @@ for ``jack.reflection_rule``; the content-gap classification of the closure
 cases, the reference for ``singular.closure_case``; and the sampled
 module-map check that the proof in ``mu_commutation_check`` replaced.
 
-References that no command reads, each kept under test: ``compare_order``
-(the order of ``compositions_strictly_below`` and its pool),
+References that no command reads, each kept under test:
+``layer_composition`` and ``brick_stack_target`` (of the top label, the
+brick map of ``max_inv_source``), ``reflection_case`` (the six cases of
+``jack.reflection_rule``), ``compare_order`` (the order of
+``compositions_strictly_below`` and its pool),
 ``perm_apply_to_composition`` (the itemgetter of ``vectorpoly._mover``),
 ``swapped_inv_max`` (of ``singular.alpha_variants``), the paper's reduction
 lemma ``reduce_by_permissible_steps``, the module map ``mu_map``, and the
@@ -28,19 +31,17 @@ from nsjack.combinatorics import (
     Rsyt,
     _composition_pool,
     apply_permissible_step,
-    brick_stack_target,
     descent_word,
     enumerate_rsyt,
     inv_statistic,
-    layer_composition,
     max_inv_source,
     normalize_partition,
+    rank_permutation,
     sort_descending,
     transposition,
 )
 from nsjack.jack import (
     JackPolynomial,
-    ReflectionCase,
     reflection_rule,
     spectral_vector,
     spectral_vector_at,
@@ -283,6 +284,24 @@ def compositions_strictly_below_by_order(alpha):
 # the paper's reduction lemma: every tableau of a class reaches the class's
 # inv-maximal member by permissible steps, each raising inv by one
 # ---------------------------------------------------------------------------
+
+
+def layer_composition(m: int, k: int) -> tuple[int, ...]:
+    """((k-1)^{2m}, (k-2)^{2m}, ..., 0^{2m}): the brick layer of each entry
+    slot; the reference for the beta of the top label, the brick map of
+    ``max_inv_source(m, k)``."""
+    return tuple(k - 1 - i // (2 * m) for i in range(2 * m * k))
+
+
+def brick_stack_target(m: int, k: int) -> Rsyt:
+    """Stack of k standard 2 x m bricks, each filled column by column, of
+    shape (m^(2k)); the reference for the tableau of the top label."""
+    rows = []
+    for level in range(k):
+        base = 2 * m * (k - level)
+        rows.append(tuple(base - 2 * j for j in range(m)))
+        rows.append(tuple(base - 1 - 2 * j for j in range(m)))
+    return Rsyt(rows)
 
 
 class DistinguishedTableaux(NamedTuple):
@@ -570,6 +589,34 @@ def verify_eigen_equations_ratfunc(jack, indices=None):
 # ---------------------------------------------------------------------------
 
 
+class ReflectionCase(Enum):
+    EXPONENT_RAISE = "exponent_raise"  # alpha_{i+1} > alpha_i
+    EXPONENT_LOWER = "exponent_lower"  # alpha_i > alpha_{i+1}
+    ROW_EIGENVECTOR = "row_eigenvector"  # adjacent entries share a row: +1
+    COLUMN_EIGENVECTOR = "column_eigenvector"  # share a column: -1
+    TABLEAU_RAISE = "tableau_raise"  # entry swap valid, reciprocal gap > 0
+    TABLEAU_LOWER = "tableau_lower"  # entry swap valid, reciprocal gap < 0
+
+
+def reflection_case(alpha, tableau, i) -> ReflectionCase:
+    """Which case of ``reflection_rule`` s_i meets at the label: unequal
+    exponents i, i+1 are swapped, and equal ones act on the tableau entries
+    j = r_alpha(i) and j+1."""
+    if alpha[i - 1] != alpha[i]:
+        if alpha[i] > alpha[i - 1]:
+            return ReflectionCase.EXPONENT_RAISE
+        return ReflectionCase.EXPONENT_LOWER
+    j = rank_permutation(alpha)[i - 1]
+    (rj, cj), (rj1, cj1) = tableau.cell(j), tableau.cell(j + 1)
+    if rj == rj1:
+        return ReflectionCase.ROW_EIGENVECTOR
+    if cj == cj1:
+        return ReflectionCase.COLUMN_EIGENVECTOR
+    if cj > cj1:
+        return ReflectionCase.TABLEAU_RAISE
+    return ReflectionCase.TABLEAU_LOWER
+
+
 class ReflectionResult(NamedTuple):
     case: ReflectionCase
     b: RatFunc
@@ -591,7 +638,8 @@ def apply_simple_reflection(i, jack, verify=True) -> ReflectionResult:
         poly = poly.scale(rule.scalar.inverse())
     label = rule.target or (jack.alpha, jack.tableau)
     result = _labelled(*label, poly, verify)
-    return ReflectionResult(rule.case, rule.b, rule.scalar, result)
+    case = reflection_case(jack.alpha, jack.tableau, i)
+    return ReflectionResult(case, rule.b, rule.scalar, result)
 
 
 def _labelled(alpha, tableau, poly, verify):

@@ -9,9 +9,7 @@ from fractions import Fraction
 from nsjack.combinatorics import (
     ColumnStrictTableau,
     Rsyt,
-    brick_stack_target,
     enumerate_rsyt,
-    layer_composition,
     max_inv_source,
     transposition,
 )
@@ -38,9 +36,11 @@ from nsjack.singular import (
 from nsjack.vectorpoly import VectorPoly, group_action, tau_context
 
 from oracles import (
+    brick_stack_target,
     catalan,
     compositions_of_degree,
     eigensolve_jack,
+    layer_composition,
     mu_commutation_sampled,
 )
 
@@ -136,7 +136,7 @@ def test_criterion_05_singular_family_m2_k2():
         member = next(
             mem
             for mem in fam.members
-            if mem.source == Rsyt([[8, 6, 5, 2], [7, 4, 3, 1]])
+            if mem.pair.source == Rsyt([[8, 6, 5, 2], [7, 4, 3, 1]])
         )
         assert member.label == (1, 1, 1, 0, 1, 0, 0, 0)
         assert b_value(member.label, member.pair.tableau, 5).evaluate(

@@ -906,6 +906,40 @@ def test_apply_operator_bad_input_file_exits_2(content, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("nsjack: error: ")
 
 
+def test_apply_operator_pole_at_kappa_exits_2(tmp_path, capsys):
+    # the coefficient 1/kappa has a pole at the requested kappa: a bad
+    # parameter of a command that verifies nothing, not a failed check
+    path = tmp_path / "input.json"
+    path.write_text(_one_term([1, 0], {"num": [1], "den": [0, 1]}))
+    argv = ["apply-operator", "--op", "dunkl", "--index", "1"]
+    assert_usage_error(main([*argv, "--input", str(path), "--kappa", "0"]), capsys)
+
+
+@pytest.mark.parametrize(
+    "shape, tableaux, message",
+    [
+        ([2, 2], [[-1, 0]], "[-1, 0] are not of shape (2, 2)"),
+        (None, [[-1, 0], [1, 0]], "[1, 0] are not of shape (1, 1)"),
+    ],
+    ids=["declared_shape", "two_shapes"],
+)
+def test_apply_operator_contents_of_another_shape_exit_2(
+    shape, tableaux, message, tmp_path, capsys
+):
+    # without a declared shape, the first term's tableau fixes it
+    terms = [{"exp": [1, 0], "tableau": t, "coeff": "1/1"} for t in tableaux]
+    doc = {"poly": terms} if shape is None else {"shape": shape, "poly": terms}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = ["apply-operator", "--op", "dunkl", "--index", "1", "--input", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"nsjack: error: {path} holds no polynomial: "
+        f"ValueError('tableau contents {message}')\n"
+    )
+
+
 def test_apply_operator_top_index_is_in_range(tmp_path, capsys):
     argv = ["--format", "json", "apply-operator", "--op", "jucys-murphy"]
     argv += ["--index", "4", "--input", str(_poly_file(tmp_path))]

@@ -13,12 +13,10 @@ from nsjack.combinatorics import (
     Rsyt,
     _composition_pool,
     apply_permissible_step,
-    brick_stack_target,
     compositions_strictly_below,
     enumerate_rsyt,
     inv_statistic,
     is_permissible_step,
-    layer_composition,
     max_inv_source,
     multiset_permutations,
     rank_permutation,
@@ -31,6 +29,7 @@ from nsjack.singular import brick_pairs
 from oracles import (
     Comparison,
     NotReducible,
+    brick_stack_target,
     catalan,
     compare_order,
     compositions_of_degree,
@@ -38,6 +37,7 @@ from oracles import (
     distinguished_tableaux,
     enumerate_one_swap_class,
     hook_length_count,
+    layer_composition,
     perm_apply_to_composition,
     reduce_by_permissible_steps,
     swapped_inv_max,

@@ -10,15 +10,12 @@ import pytest
 from nsjack.combinatorics import (
     Rsyt,
     enumerate_rsyt,
-    layer_composition,
-    brick_stack_target,
     max_inv_source,
     rsyt_from_contents,
 )
 from nsjack.jack import (
     ColumnTable,
     JackPolynomial,
-    ReflectionCase,
     ZeroDenominator,
     b_value,
     construct_jack,
@@ -36,10 +33,13 @@ from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
 
 from oracles import (
     Comparison,
+    ReflectionCase,
     apply_simple_reflection,
+    brick_stack_target,
     compare_order,
     eigensolve_jack,
     exponent_code,
+    layer_composition,
     verify_eigen_equations_ratfunc,
 )
 
@@ -267,7 +267,7 @@ def test_reflection_rule_agrees_with_the_oracle_on_families(m, k):
                 expected = member.jack.poly
             else:
                 expected = construct_jack(*rule.target, columns).poly
-            assert res.result.poly == expected, (member.label, i, rule.case)
+            assert res.result.poly == expected, (member.label, i, res.case)
 
 
 def test_spectral_pairs_determine_the_label():

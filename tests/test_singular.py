@@ -9,18 +9,16 @@ from itertools import permutations
 import pytest
 
 from nsjack.combinatorics import (
+    BadShapeParams,
     ColumnStrictTableau,
     Rsyt,
-    brick_stack_target,
     compositions_strictly_below,
     enumerate_rsyt,
-    layer_composition,
     max_inv_source,
 )
 from nsjack.jack import construct_jack, spectral_vector_at, specialize
 from nsjack.operators import dunkl
 from nsjack.singular import (
-    BadParams,
     BrickIdentityViolation,
     ClosureViolation,
     NonzeroDunklImage,
@@ -41,8 +39,10 @@ from nsjack.singular import (
 from nsjack.vectorpoly import VectorPoly
 
 from oracles import (
+    brick_stack_target,
     content_gap_case,
     hook_length_count,
+    layer_composition,
     mu_commutation_sampled,
     mu_map,
     reverse_map_qT,
@@ -79,11 +79,15 @@ def test_brick_map_m2k2_printed_golden():
     assert pair.tableau.rows == ((8, 6), (7, 5), (4, 2), (3, 1))
 
 
-def test_brick_map_of_column_filling():
-    for m, k in [(1, 2), (2, 2), (3, 2), (2, 3)]:
-        pair = brick_map(max_inv_source(m, k), m)
-        assert pair.beta == layer_composition(m, k)
-        assert pair.tableau == brick_stack_target(m, k)
+def test_top_label_is_the_layer_composition_on_the_brick_stack():
+    # the library builds the top label only as the brick map of the
+    # inv-maximal source, the column filling; the oracle writes both parts
+    # down by formula, and the swapped labels start from the same label
+    for m, k in [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3), (1, 5)]:
+        top = brick_map(max_inv_source(m, k), m)
+        assert top.beta == layer_composition(m, k)
+        assert top.tableau == brick_stack_target(m, k)
+        assert alpha_variants(m, k, 1).base == top.beta
 
 
 def test_brick_map_fundamental_equation_exhaustive():
@@ -126,9 +130,9 @@ def test_scaled_family_m1_k2_n2():
 
 
 def test_family_rejects_bad_scaling():
-    with pytest.raises(BadParams):
+    with pytest.raises(BadShapeParams):
         family_context(1, 2, 3)  # 3 shares a factor with m+2 = 3
-    with pytest.raises(BadParams):
+    with pytest.raises(BadShapeParams):
         family_context(2, 2, 2)
 
 
@@ -146,7 +150,7 @@ def test_isotype_of_constant():
 def test_isotype_of_family_members():
     fam = family_context(1, 2)
     for member in fam.members:
-        assert isotype_of(member.specialized) == member.source
+        assert isotype_of(member.specialized) == member.pair.source
 
 
 def test_isotype_rejects_non_eigenfunctions():
@@ -264,7 +268,7 @@ def test_alpha_variants_outside_window_match_base():
 
 
 def test_alpha_variants_param_guard():
-    with pytest.raises(BadParams):
+    with pytest.raises(BadShapeParams):
         alpha_variants(2, 2, 2)
 
 
@@ -286,7 +290,7 @@ def test_gamma_example_by_hand():
     other = next(
         member
         for member in fam.members
-        if member.source != max_inv_source(1, 2)
+        if member.pair.source != max_inv_source(1, 2)
     )
     assert other.gamma == Fraction(3, 4)
     assert other.source_norm_squared == Fraction(3, 4)
@@ -299,7 +303,7 @@ def test_mu_definition_on_point_mass():
     fam = family_context(1, 2)
     s0_idx = next(
         i for i, member in enumerate(fam.members)
-        if member.source == max_inv_source(1, 2)
+        if member.pair.source == max_inv_source(1, 2)
     )
     g = VectorPoly.monomial(fam.sigma, (0, 0, 0, 0), s0_idx, Fraction(1))
     image = mu_map(g, 1, 2)
@@ -437,10 +441,10 @@ def test_perturbed_member_fails_the_dunkl_check(monkeypatch):
 def test_two_isotype_sum_is_not_isotypic():
     fam = family_context(1, 2)
     first, second = fam.members
-    assert first.source != second.source
+    assert first.pair.source != second.pair.source
     with pytest.raises(NotIsotypic):
         isotype_of(first.specialized + second.specialized)
-    assert isotype_of(first.specialized.scale(Fraction(-3, 7))) == first.source
+    assert isotype_of(first.specialized.scale(Fraction(-3, 7))) == first.pair.source
 
 
 def test_spectral_identity_guard(monkeypatch):
@@ -472,7 +476,7 @@ def test_gamma_guard_on_a_degenerate_pair():
 
     source = Rsyt([[4, 3], [2, 1]])
     # entries 1 and 2 share a row (content gap 1) but sit in different bricks
-    pair = BrickPair((0, 1, 1, 1), source, source, 1, 2)
+    pair = BrickPair((0, 1, 1, 1), source, source)
     with pytest.raises(BrickIdentityViolation, match="degenerate gamma"):
         gamma_factor(pair)
 
