@@ -29,7 +29,7 @@ for source in enumerate_rsyt((m * k, m * k)):
 print("the column filling maps to the layer composition and the brick stack:")
 pair0 = brick_map(max_inv_source(m, k), m)
 # entry slot i lies in brick layer k - 1 - (i // 2m), and level l of the
-# stack is the standard 2 x m brick on 2m(k - l) down, filled by columns
+# stack holds 2m(k - l) down to 2m(k - l - 1) + 1, filled column by column
 assert pair0.beta == tuple(k - 1 - i // (2 * m) for i in range(2 * m * k))
 assert pair0.tableau.rows == tuple(
     tuple(2 * m * (k - level) - r - 2 * j for j in range(m))

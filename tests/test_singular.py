@@ -87,7 +87,7 @@ def test_top_label_is_the_layer_composition_on_the_brick_stack():
         top = brick_map(max_inv_source(m, k), m)
         assert top.beta == layer_composition(m, k)
         assert top.tableau == brick_stack_target(m, k)
-        assert alpha_variants(m, k, 1).base == top.beta
+        assert alpha_variants(m, k, 1).base == layer_composition(m, k)
 
 
 def test_brick_map_fundamental_equation_exhaustive():
