@@ -4,10 +4,10 @@ Exit codes: 0 on success, 1 on a mathematical verification failure (any
 failed check, caught once in ``main``: the emitted document carries the
 evidence), 2 on usage errors, which include bad family parameters, malformed
 integer lists or kappa values, contents of no tableau, tableau entries that
-are not integers, unreadable input files, an unwritable output file,
-operator parameters out of range (an index outside 1..n, kappa = 0 for
-U'_i) and an input polynomial with a pole at the requested kappa; these
-print one line on standard error.
+are not integers, a declared shape that is not a partition, unreadable input
+files, an unwritable output file, operator parameters out of range (an index
+outside 1..n, kappa = 0 for U'_i) and an input polynomial with a pole at the
+requested kappa; these print one line on standard error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .combinatorics import (
     ColumnStrictTableau,
     NoSuchTableau,
     Rsyt,
+    is_partition,
     max_inv_source,
     rsyt_from_contents,
 )
@@ -86,7 +87,9 @@ def _parse_ints(text) -> tuple[int, ...]:
 def _parse_kappa(text) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise UsageError(f"bad kappa {text!r}: zero denominator") from None
+    except ValueError as exc:
         raise UsageError(f"bad kappa {text!r}: {exc}") from None
 
 
@@ -251,8 +254,19 @@ _OPERATORS = {
 
 def _cmd_apply_operator(args):
     doc_in = _read_json(args.input)
+    shape = None
+    if isinstance(doc_in, dict) and "shape" in doc_in:
+        shape = doc_in["shape"]
+        if not (
+            isinstance(shape, list)
+            and all(type(part) is int for part in shape)
+            and is_partition(shape)
+        ):
+            raise UsageError(
+                f"{args.input} declares shape {json.dumps(shape)}, not a partition"
+            )
+        shape = tuple(shape)
     try:
-        shape = tuple(doc_in["shape"]) if "shape" in doc_in else None
         poly = VectorPoly.from_json(doc_in["poly"], shape=shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{args.input} holds no polynomial: {exc!r}") from None

@@ -200,9 +200,6 @@ class RatFunc:
 
     # -- predicates ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
 
@@ -257,9 +254,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero in Q(kappa)")
-        return self * RatFunc(other.den, other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -269,7 +264,7 @@ class RatFunc:
 
     def inverse(self) -> "RatFunc":
         if not self.num:
-            raise ZeroDivisionError("inverting zero in Q(kappa)")
+            raise ZeroDivisionError("division by zero in Q(kappa)")
         return RatFunc(self.den, self.num)
 
     def __eq__(self, other):

@@ -186,10 +186,6 @@ class FamilyContext(NamedTuple):
     def sigma(self):
         return (self.m * self.k, self.m * self.k)
 
-    @property
-    def tau(self):
-        return (self.m,) * (2 * self.k)
-
 
 def family_context(m: int, k: int, n: int = 1) -> FamilyContext:
     """Construct (without verifying) every family member at kappa = n/(m+2);

@@ -226,19 +226,10 @@ class VectorPoly:
     def zero(shape) -> "VectorPoly":
         return VectorPoly(shape, {})
 
-    @staticmethod
-    def monomial(shape, exp, tab_index: int, coeff=None) -> "VectorPoly":
-        if coeff is None:
-            coeff = RatFunc.from_int(1)
-        return VectorPoly(shape, {(tuple(exp), tab_index): coeff})
-
     # -- structure ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
 
     def monomial_support(self) -> set:
         return {e for e, _ in self.terms}
@@ -284,15 +275,14 @@ class VectorPoly:
             return VectorPoly.zero(self.shape)
         return VectorPoly(self.shape, {k: c * v for k, v in self.terms.items()})
 
-    def mul_monomial(self, exp_delta, coeff=None) -> "VectorPoly":
+    def mul_monomial(self, exp_delta) -> "VectorPoly":
         """Multiply by a scalar monomial: shift every exponent."""
         delta = tuple(exp_delta)
         if len(delta) != self.n:
             raise ShapeMismatch("monomial length mismatch")
         out = {}
         for (exp, tab), c in self.terms.items():
-            key = (tuple(a + d for a, d in zip(exp, delta)), tab)
-            out[key] = c * coeff if coeff is not None else c
+            out[tuple(a + d for a, d in zip(exp, delta)), tab] = c
         return VectorPoly(self.shape, out)
 
     def cleared(self) -> tuple[int, dict] | None:
@@ -542,8 +532,7 @@ def _permutations(w, n: int) -> list[tuple[int, ...]]:
 
 
 def _mover(v):
-    """exp -> v . exp of ``perm_apply_to_composition`` as one itemgetter:
-    (v . exp)_t = exp_{v^{-1}(t)}."""
+    """exp -> v . exp as one itemgetter, (v . exp)_t = exp_{v^{-1}(t)}."""
     if len(v) < 2:
         return tuple
     return itemgetter(*(t - 1 for t in perm_inverse(v)))

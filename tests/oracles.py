@@ -4,8 +4,9 @@ parameter values, which deliberately avoid the projection constructor;
 reference formulas for the operators; combinatorial helpers only tests use;
 simple reflections applied to Jack polynomials over Q(kappa), the reference
 for ``jack.reflection_rule``; the content-gap classification of the closure
-cases, the reference for ``singular.closure_case``; and the sampled
-module-map check that the proof in ``mu_commutation_check`` replaced.
+cases, the reference for ``singular.closure_case``; the sampled
+module-map check that the proof in ``mu_commutation_check`` replaced; and
+``monomial``, the one-term polynomial the tests build.
 
 References that no command reads, each kept under test:
 ``layer_composition`` and ``brick_stack_target`` (of the top label, the
@@ -79,6 +80,14 @@ def hook_length_count(shape):
             leg = sum(1 for rr in range(r + 1, len(shape)) if shape[rr] > c)
             prod *= arm + leg + 1
     return factorial(n) // prod
+
+
+def monomial(shape, exp, tab_index: int, coeff=None) -> VectorPoly:
+    """coeff x^exp (x) the tableau of index tab_index, coeff 1 in Q(kappa)
+    by default."""
+    if coeff is None:
+        coeff = RatFunc.from_int(1)
+    return VectorPoly(shape, {(tuple(exp), tab_index): coeff})
 
 
 def compositions_of_degree(degree, nvars):
@@ -159,9 +168,7 @@ def _uprime_matrices(shape, degree, kappa0):
     for i in range(1, n + 1):
         mat = [[Fraction(0)] * dim for _ in range(dim)]
         for col, (exp, tab) in enumerate(basis):
-            image = cherednik_prime(
-                i, VectorPoly.monomial(shape, exp, tab, Fraction(1)), kappa0
-            )
+            image = cherednik_prime(i, monomial(shape, exp, tab, Fraction(1)), kappa0)
             for key, coeff in image.terms.items():
                 mat[index[key]][col] += coeff
         mats.append(mat)
@@ -686,10 +693,10 @@ def mu_map(g: VectorPoly, m: int, k: int) -> VectorPoly:
     fam = family_context(m, k)
     if g.shape != fam.sigma:
         raise BadShapeParams(f"input must live on shape {fam.sigma}")
-    out = VectorPoly.zero(fam.tau)
+    out = VectorPoly.zero((m,) * (2 * k))
     for (exp, s_idx), coeff in g.terms.items():
         member = fam.members[s_idx]
-        out = out + member.specialized.mul_monomial(exp, coeff * member.gamma)
+        out = out + member.specialized.mul_monomial(exp).scale(coeff * member.gamma)
     return out
 
 
@@ -759,7 +766,7 @@ def reverse_map_qT(m: int, k: int) -> ReverseMapReport:
     There is one component per T, so #RSYT(tau) in all: 1 for (m, k) = (1, 2)
     and 14 for (2, 2)."""
     fam = family_context(m, k)
-    tau_tabs = enumerate_rsyt(fam.tau)
+    tau_tabs = enumerate_rsyt((m,) * (2 * k))
     kappa_neg = Fraction(-1, m + 2)
     components = []
     for t_idx, t_tab in enumerate(tau_tabs):

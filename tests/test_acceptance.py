@@ -20,7 +20,7 @@ from nsjack.jack import (
     specialize,
     verify_eigen_equations,
 )
-from nsjack.operators import cherednik, cherednik_prime, dunkl, jucys_murphy
+from nsjack.operators import cherednik, dunkl, jucys_murphy
 from nsjack.ratfunc import KAPPA, RatFunc
 from nsjack.singular import (
     alpha_variants,
@@ -41,6 +41,7 @@ from oracles import (
     compositions_of_degree,
     eigensolve_jack,
     layer_composition,
+    monomial,
     mu_commutation_sampled,
 )
 
@@ -289,7 +290,7 @@ def test_criterion_11_property_suites():
             n = sum(shape)
             t = rng.randrange(ctx.dim)
             i = rng.randint(1, n)
-            unit = VectorPoly.monomial(shape, (0,) * n, t)
+            unit = monomial(shape, (0,) * n, t)
             assert jucys_murphy(i, unit) == unit.scale(
                 RatFunc.from_int(ctx.tableaux[t].content(i))
             )

@@ -6,7 +6,7 @@ import pytest
 
 from nsjack.cli import main
 
-from oracles import dunkl_fractions, exponent_code
+from oracles import dunkl_fractions, exponent_code, monomial
 
 
 def run(capsys, *argv):
@@ -135,7 +135,7 @@ def test_a_member_off_in_one_coefficient_exits_1(command, match, monkeypatch, ca
     terms = dict(first.specialized.terms)
     key = next(iter(terms))
     terms[key] += 1
-    first = first._replace(specialized=VectorPoly(fam.tau, terms))
+    first = first._replace(specialized=VectorPoly(first.specialized.shape, terms))
     forged = fam._replace(members=(first,) + fam.members[1:])
     monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
     code, out = run(capsys, *command.split(), "--m", "1", "--k", "2")
@@ -185,10 +185,9 @@ def test_jack_construct_cli_pole(capsys):
 
 
 def test_apply_operator_cli(tmp_path, capsys):
-    from nsjack.vectorpoly import VectorPoly
     from nsjack.ratfunc import RatFunc
 
-    poly = VectorPoly.monomial((2, 2), (0, 0, 0, 0), 0, RatFunc.from_int(1))
+    poly = monomial((2, 2), (0, 0, 0, 0), 0, RatFunc.from_int(1))
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"shape": [2, 2], "poly": poly.to_json()}))
     code, out = run(
@@ -551,21 +550,21 @@ def test_bad_parameters_exit_2_with_one_line(argv, tmp_path, capsys):
 
 def test_cherednik_prime_at_kappa_zero_exits_2(tmp_path, capsys):
     # U'_i has 1/kappa, so kappa = 0 is a bad parameter, not a traceback
-    from nsjack.vectorpoly import VectorPoly
-
-    poly = VectorPoly.monomial((2, 2), (1, 0, 0, 0), 0, 1)
+    poly = monomial((2, 2), (1, 0, 0, 0), 0, 1)
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"shape": [2, 2], "poly": poly.to_json()}))
     argv = ["apply-operator", "--op", "cherednik-prime", "--index", "1"]
     assert_usage_error(main([*argv, "--input", str(path), "--kappa", "0"]), capsys)
 
 
-def assert_usage_error(code, capsys):
+def assert_usage_error(code, capsys) -> str:
+    """The one line a usage error prints on standard error."""
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("nsjack: error: ")
+    return lines[0]
 
 
 def test_brickmap_file_holding_no_tableau_exits_2(tmp_path, capsys):
@@ -829,9 +828,8 @@ def test_singular_verify_with_a_raising_constructor_guard_exits_1(
 
 def _poly_file(tmp_path):
     from nsjack.ratfunc import RatFunc
-    from nsjack.vectorpoly import VectorPoly
 
-    poly = VectorPoly.monomial((2, 2), (1, 0, 2, 0), 0, RatFunc.from_int(1))
+    poly = monomial((2, 2), (1, 0, 2, 0), 0, RatFunc.from_int(1))
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"shape": [2, 2], "poly": poly.to_json()}))
     return path
@@ -938,6 +936,35 @@ def test_apply_operator_contents_of_another_shape_exit_2(
         f"nsjack: error: {path} holds no polynomial: "
         f"ValueError('tableau contents {message}')\n"
     )
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [[-2], [2.5], [True], [1, 2], [2, 0, 1]],
+    ids=["negative_part", "float_part", "bool_part", "increasing", "zero_inside"],
+)
+def test_apply_operator_declared_shape_that_is_no_partition_exits_2(
+    shape, tmp_path, capsys
+):
+    # no tableau of an empty polynomial checks the declared shape
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"shape": shape, "poly": []}))
+    argv = ["apply-operator", "--op", "dunkl", "--index", "1", "--input", str(path)]
+    line = assert_usage_error(main(argv), capsys)
+    declared = json.dumps(shape)
+    assert line == f"nsjack: error: {path} declares shape {declared}, not a partition"
+
+
+@pytest.mark.parametrize("command", ["jack construct", "apply-operator"])
+def test_kappa_with_zero_denominator_exits_2(command, tmp_path, capsys):
+    if command == "jack construct":
+        argv = ["jack", "construct", "--alpha", "1,1,0,0"]
+        argv += ["--tableau-contents=-3,-2,-1,0"]
+    else:
+        argv = ["apply-operator", "--op", "dunkl", "--index", "1"]
+        argv += ["--input", str(_poly_file(tmp_path))]
+    line = assert_usage_error(main([*argv, "--kappa", "1/0"]), capsys)
+    assert line == "nsjack: error: bad kappa '1/0': zero denominator"
 
 
 def test_apply_operator_top_index_is_in_range(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Every module-level function, class and constant of ``src/nsjack`` serves a
 command, a certificate or a benchmark workload: code elsewhere in
 ``src/nsjack`` (not the package ``__init__``) or in ``perfbench/`` reads it.
-A definition that only tests read belongs in ``tests/oracles.py``."""
+A definition that only tests read belongs in ``tests/oracles.py``.  The same
+holds for every method and property of a library class: library code outside
+the member's own body, or a ``perfbench/`` file, reads it as an attribute."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +31,15 @@ def read_names(tree) -> set[str]:
     }
 
 
+def read_attributes(tree) -> Counter:
+    """How often ``tree`` reads each attribute name."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
 def test_every_library_definition_has_a_reader():
     definitions, read = [], set()
     for path in sorted((ROOT / "src" / "nsjack").glob("*.py")):
@@ -41,3 +53,29 @@ def test_every_library_definition_has_a_reader():
         read |= read_names(ast.parse(path.read_text()))
     unread = [name for name in definitions if name.split(".")[1] not in read]
     assert definitions and unread == [], "read by nothing: " + ", ".join(unread)
+
+
+def test_every_library_member_has_a_reader():
+    members, read = [], Counter()
+    for path in sorted((ROOT / "src" / "nsjack").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read += read_attributes(tree)
+        members += [
+            (f"{path.stem}.{cls.name}.{node.name}", node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ]
+    for path in (ROOT / "perfbench").glob("*.py"):
+        read += read_attributes(ast.parse(path.read_text()))
+    # its own body is not a reader
+    unread = [
+        name
+        for name, node in members
+        if read[node.name] == read_attributes(node)[node.name]
+    ]
+    assert members and unread == [], "read by nothing: " + ", ".join(unread)

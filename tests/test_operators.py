@@ -25,6 +25,7 @@ from oracles import (
     group_action_fractions,
     is_singular_at,
     jucys_murphy_fractions,
+    monomial,
 )
 
 
@@ -47,7 +48,7 @@ SHAPES = [(2, 2), (3, 1), (2, 1, 1), (3, 1, 1)]
 def test_dunkl_kills_constants():
     for shape in SHAPES:
         n = sum(shape)
-        p = VectorPoly.monomial(shape, (0,) * n, 0)
+        p = monomial(shape, (0,) * n, 0)
         for i in range(1, n + 1):
             assert dunkl(i, p).is_zero()
 
@@ -57,7 +58,7 @@ def test_cherednik_prime_content_on_constants():
         ctx = tau_context(shape)
         n = sum(shape)
         for t, tab in enumerate(ctx.tableaux):
-            p = VectorPoly.monomial(shape, (0,) * n, t)
+            p = monomial(shape, (0,) * n, t)
             for i in range(1, n + 1):
                 expected = p.scale(RatFunc.from_int(tab.content(i)))
                 assert cherednik_prime(i, p) == expected
@@ -160,7 +161,7 @@ def test_singularity_criterion_equivalence():
             d_zero = dunkl(i, p, kappa0).is_zero()
             jm_match = cherednik_prime(i, p, kappa0) == jucys_murphy(i, p)
             assert d_zero == jm_match
-    assert is_singular_at(VectorPoly.monomial(shape, (0, 0, 0, 0), 0), kappa0)
+    assert is_singular_at(monomial(shape, (0, 0, 0, 0), 0), kappa0)
 
 
 def test_uprime_column_matches_operator():
@@ -179,7 +180,7 @@ def test_uprime_column_matches_operator():
             ties += len(set(exp)) < n
             gaps += any(abs(a - b) > 1 for a in exp for b in exp)
             tab = rng.randrange(ctx.dim)
-            p = VectorPoly.monomial(shape, exp, tab)
+            p = monomial(shape, exp, tab)
             base = sum(exp) + 1
             origin = exponent_code(exp, base) * ctx.dim
             for i in range(1, n + 1):
@@ -282,7 +283,7 @@ def test_integer_kernels_match_fraction_formulas():
             random_generic_poly(generic, shape),
             random_generic_poly(generic, shape, mixed=True),
             VectorPoly.zero(shape),
-            VectorPoly.monomial(shape, (0,) * n, 0, constant),
+            monomial(shape, (0,) * n, 0, constant),
         ):
             assert_kernels_match(generic, p, [KAPPA, Fraction(2, 7)])
         with pytest.raises(ValueError, match="rational or KAPPA"):
@@ -313,7 +314,7 @@ def test_packed_decode_raises_on_overflow():
 @pytest.mark.parametrize("i", [-1, 0, 5])
 def test_operator_index_outside_1_to_n_raises(op, i):
     # exp[i - 1] would wrap around for i <= 0 and overrun for i > n
-    p = VectorPoly.monomial((2, 2), (1, 0, 2, 0), 0, Fraction(1))
+    p = monomial((2, 2), (1, 0, 2, 0), 0, Fraction(1))
     with pytest.raises(ValueError, match="outside 1..4"):
         op(i, p)
 
@@ -369,7 +370,7 @@ def test_cherednik_prime_rejects_kappa_zero_on_both_operands(kappa):
     # U'_i has 1/kappa: kappa = 0 is a ValueError, not a ZeroDivisionError
     from nsjack.vectorpoly import pack
 
-    p = VectorPoly.monomial((2, 1), (1, 0, 0), 0, Fraction(1))
+    p = monomial((2, 1), (1, 0, 0), 0, Fraction(1))
     with pytest.raises(ValueError, match="kappa = 0"):
         cherednik_prime(1, p, kappa)
     with pytest.raises(ValueError, match="kappa = 0"):

@@ -15,7 +15,8 @@ import pytest
 from nsjack import combinatorics, jack, singular, vectorpoly
 from nsjack.cli import main
 from nsjack.ratfunc import RatFunc
-from nsjack.vectorpoly import VectorPoly
+
+from oracles import monomial
 
 # the modules of the NamedTuple machinery, which iterate a record to copy it
 MACHINERY = {"collections", "copy", "copyreg"}
@@ -118,7 +119,7 @@ CLI_RUNS = [
 def test_no_cli_command_uses_a_record_as_a_tuple(monkeypatch, tmp_path, capsys):
     tableau = tmp_path / "tableau.json"
     tableau.write_text(json.dumps([[8, 6, 5, 2], [7, 4, 3, 1]]))
-    poly = VectorPoly.monomial((2, 2), (1, 0, 2, 0), 1, RatFunc.from_int(1))
+    poly = monomial((2, 2), (1, 0, 2, 0), 1, RatFunc.from_int(1))
     source = tmp_path / "poly.json"
     source.write_text(json.dumps({"shape": [2, 2], "poly": poly.to_json()}))
     runs = CLI_RUNS + [
