@@ -11,10 +11,11 @@ import json
 from nsjack import family_context, isotype_of, singular_family
 from nsjack.operators import dunkl
 
-cert = singular_family(1, 2)
+# build the family once; the certificate checks the family it is given
+fam = family_context(1, 2)
+cert = singular_family(fam)
 print(f"kappa = {cert.kappa0}, family size {len(cert.members)}\n")
 
-fam = family_context(1, 2)
 for member in fam.members:
     print("source:")
     print(member.pair.source)

@@ -36,6 +36,7 @@ from .singular import (
     brick_map,
     closure_check,
     example_n5,
+    family_context,
     mu_commutation_check,
     norms_and_gamma,
     singular_family,
@@ -97,7 +98,7 @@ def _parse_kappa(text) -> Fraction:
 
 
 def _cmd_singular_verify(args):
-    cert = singular_family(args.m, args.k, args.n)
+    cert = singular_family(family_context(args.m, args.k, args.n))
     doc = cert.to_json()
     doc["verified"] = True
     lines = [
@@ -171,7 +172,7 @@ def _cmd_norms(args):
 
 
 def _cmd_mu_verify(args):
-    report = mu_commutation_check(args.m, args.k)
+    report = mu_commutation_check(family_context(args.m, args.k))
     doc = report.to_json()
     text = (
         f"module map m={args.m} k={args.k} kappa={doc['kappa']}: commutes in "
@@ -196,7 +197,7 @@ def _cmd_example_n5(args):
 
 
 def _cmd_closure(args):
-    report = closure_check(args.m, args.k, args.n)
+    report = closure_check(family_context(args.m, args.k, args.n))
     doc = report.to_json()
     text = (
         f"closure m={args.m} k={args.k}: cases {doc['case_counts']}, "

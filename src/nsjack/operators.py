@@ -149,12 +149,14 @@ def dunkl(i: int, p: VectorPoly, kappa=None) -> VectorPoly:
     the factor that bounds its digits for ``vectorpoly.kronecker_pack``.
     """
     _check_index(i, p.n)
-    ctx = tau_context(p.shape)
     if kappa is None:
         kappa = KAPPA
     generic = isinstance(kappa, RatFunc)
     if generic and kappa != KAPPA:
         raise ValueError(f"kappa must be rational or KAPPA, not {kappa}")
+    if p.is_zero():  # no seminormal context for the zero image
+        return VectorPoly.zero(p.shape)
+    ctx = tau_context(p.shape)
     lam, mu = (1, 1) if generic else Fraction(kappa).as_integer_ratio()
     scale = mu * ctx.denominator
     return apply_packed(

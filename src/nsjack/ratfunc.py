@@ -389,11 +389,12 @@ def _poly_str(f) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        p, q = text.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
+    """The integer ``p`` or rational ``p/q`` of text; ZeroDivisionError if q = 0."""
+    p, slash, q = text.strip().partition("/")
+    try:
+        return Fraction(int(p), int(q) if slash else 1)
+    except ValueError:
+        raise ValueError("expected an integer or p/q") from None
 
 
 def format_rational(q) -> str:

@@ -4,15 +4,14 @@ For a two-row rectangle with mk columns and the stacked shape with 2k rows of
 width m, every RSYT of the two-row shape maps to a label (composition,
 stacked tableau) whose Jack polynomial specializes without poles at
 kappa = n/(m+2), is killed by every Dunkl operator there, and carries the
-source tableau as its isotype.  This module constructs the family, certifies
-those properties exactly, certifies (not samples) that the associated module
-map commutes with x_i, s_i and D_i, and runs exhaustive uniqueness oracles.
+source tableau as its isotype.  This module constructs the family as a value,
+certifies those properties of a given family exactly, proves (not samples)
+that its module map commutes with x_i, s_i and D_i, and runs uniqueness oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -188,13 +187,8 @@ class FamilyContext(NamedTuple):
 
 
 def family_context(m: int, k: int, n: int = 1) -> FamilyContext:
-    """Construct (without verifying) every family member at kappa = n/(m+2);
-    cached per (m, k, n), however the arguments are spelled."""
-    return _family_context(m, k, n)
-
-
-@lru_cache(maxsize=None)
-def _family_context(m: int, k: int, n: int) -> FamilyContext:
+    """Construct (without verifying) every family member at kappa = n/(m+2),
+    uncached: the value that each certificate below takes."""
     pairs = brick_pairs(m, k)
     if n < 1 or gcd(n, m + 2) != 1:
         raise BadShapeParams(f"need n >= 1 coprime to m+2, got n={n}")
@@ -237,16 +231,15 @@ class SingularCertificate(NamedTuple):
         }
 
 
-def singular_family(m: int, k: int, n: int = 1) -> SingularCertificate:
-    """Verify the whole family at kappa = n/(m+2): no poles, every Dunkl image
-    zero, Jucys-Murphy eigenvalues equal to the source contents.  Raises on
-    any failure; the certificate carries complete evidence."""
-    fam = family_context(m, k, n)
+def singular_family(fam: FamilyContext) -> SingularCertificate:
+    """Verify the whole family at its kappa0 = n/(m+2): no poles, every Dunkl
+    image zero, Jucys-Murphy eigenvalues equal to the source contents.
+    Raises on any failure; the certificate carries complete evidence."""
     records = []
     for member in fam.members:
         spec, source = member.specialized, member.pair.source
         dunkl_images = []
-        for i in range(1, 2 * m * k + 1):
+        for i in range(1, 2 * fam.m * fam.k + 1):
             image = dunkl(i, spec, fam.kappa0)
             if not image.is_zero():
                 raise NonzeroDunklImage(
@@ -274,7 +267,7 @@ def singular_family(m: int, k: int, n: int = 1) -> SingularCertificate:
                 "polynomial": spec.to_json(),
             }
         )
-    return SingularCertificate(m, k, n, fam.kappa0, tuple(records))
+    return SingularCertificate(fam.m, fam.k, fam.n, fam.kappa0, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +550,12 @@ class MuCommutationReport(NamedTuple):
         }
 
 
-def mu_commutation_check(m: int, k: int) -> MuCommutationReport:
+def mu_commutation_check(fam: FamilyContext) -> MuCommutationReport:
     """Prove that the module map mu, the P-linear map f (x) S -> f gamma_S J_S
     from the two-row module to the stacked one, commutes with every x_i, s_i
-    and D_i in every degree, from the family's two certificates at kappa0 =
-    1/(m+2); counts their zero Dunkl images and transports, and raises what
-    they raise.
+    and D_i in every degree, from the two certificates of the one family
+    ``fam`` at its kappa0 (1/(m+2) for ``mu verify``); counts their zero
+    Dunkl images and transports, and raises what they raise.
 
     (a) mu commutes with each x_i by definition, because it is P-linear.
     (b) mu is S_N-equivariant in every degree iff it is equivariant in
@@ -578,10 +571,10 @@ def mu_commutation_check(m: int, k: int) -> MuCommutationReport:
 
     Neither certificate suffices alone: a family with one member or its
     gamma scaled is still singular, but breaks a transport."""
-    cert, closure = singular_family(m, k), closure_check(m, k)
+    cert, closure = singular_family(fam), closure_check(fam)
     images = sum(len(record["dunkl_images"]) for record in cert.members)
     transports = sum(closure.case_counts.values())
-    return MuCommutationReport(m, k, cert.kappa0, images, transports)
+    return MuCommutationReport(fam.m, fam.k, fam.kappa0, images, transports)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +614,10 @@ def closure_case(label, tableau: Rsyt, i: int, kappa0: Fraction) -> tuple:
     return ("generic" if scalar else "hinge"), b, scalar, rule.target
 
 
-def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
+def closure_check(fam: FamilyContext) -> ClosureReport:
     """Classify every (source, index) pair by ``closure_case`` and verify the
     predicted action of the simple reflection on the family span, from the
-    family alone: no Jack polynomial is built or specialized here.
+    family ``fam`` alone: no Jack polynomial is built or specialized here.
 
     Cases.  With J_S the member of source S at kappa0, transport checks
     gamma_S s_i J_S = sum_R (c / d) gamma_R J_R over the integer column
@@ -647,11 +640,10 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
     uses, J_L0 is prod_L (U'_{i_L} - zeta_{i_L}(L)) / (zeta_{i_L}(L0) -
     zeta_{i_L}(L)) applied to the rational leading vector.  U'_i has its
     only pole at kappa = 0 and every denominator is nonzero at kappa0."""
-    fam = family_context(m, k, n)
     sigma_ctx = tau_context(fam.sigma)
     counts = {"generic": 0, "same_column": 0, "same_row_brick": 0, "hinge": 0}
     hinges = []
-    nvars = 2 * m * k
+    nvars = 2 * fam.m * fam.k
     row_of_label = {(x.label, x.pair.tableau): r for r, x in enumerate(fam.members)}
     scaled = [x.specialized.scale(x.gamma) for x in fam.members]
     big_l = lcm(*(c.denominator for p in scaled for c in p.terms.values()))
@@ -699,7 +691,7 @@ def closure_check(m: int, k: int, n: int = 1) -> ClosureReport:
             counts[case] += 1
             if weighted != tuple((row, c * member.gamma) for row, c in predicted):
                 raise ClosureViolation(f"{case} case fails at {source.rows}, i={i}")
-    return ClosureReport(m, k, fam.kappa0, counts, tuple(hinges))
+    return ClosureReport(fam.m, fam.k, fam.kappa0, counts, tuple(hinges))
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,8 @@ class VectorPoly:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> list:
-        ctx = tau_context(self.shape)
+        # the zero polynomial builds no seminormal context
+        tableaux = tau_context(self.shape).tableaux if self.terms else ()
         out = []
         for (exp, tab), coeff in self.sorted_terms():
             if isinstance(coeff, RatFunc):
@@ -323,7 +324,7 @@ class VectorPoly:
             out.append(
                 {
                     "exp": list(exp),
-                    "tableau": list(ctx.tableaux[tab].content_vector()),
+                    "tableau": list(tableaux[tab].content_vector()),
                     "coeff": cj,
                 }
             )
@@ -587,8 +588,10 @@ def group_action(w, p: VectorPoly) -> VectorPoly:
     packed sums are the digit vectors at 2^width, a Z-linear map, so
     ``unpack`` recovers each digit exactly.
     """
-    ctx = tau_context(p.shape)
     perms = _permutations(w, p.n)
+    if p.is_zero():  # no seminormal context for the zero image
+        return VectorPoly.zero(p.shape)
+    ctx = tau_context(p.shape)
     d = lcm(*(ctx.matrix(v).d for v in perms))
     factor = action_factor(ctx, perms, d)
     return apply_packed(

@@ -5,8 +5,9 @@ reference formulas for the operators; combinatorial helpers only tests use;
 simple reflections applied to Jack polynomials over Q(kappa), the reference
 for ``jack.reflection_rule``; the content-gap classification of the closure
 cases, the reference for ``singular.closure_case``; the sampled
-module-map check that the proof in ``mu_commutation_check`` replaced; and
-``monomial``, the one-term polynomial the tests build.
+module-map check that the proof in ``mu_commutation_check`` replaced;
+``monomial``, the one-term polynomial the tests build; and ``family``, the
+families that tests share instead of building each one again.
 
 References that no command reads, each kept under test:
 ``layer_composition`` and ``brick_stack_target`` (of the top label, the
@@ -52,6 +53,7 @@ from nsjack.operators import cherednik_prime, dunkl
 from nsjack.ratfunc import KAPPA, RatFunc
 from nsjack.singular import (
     ClosureViolation,
+    FamilyContext,
     NonzeroDunklImage,
     NotIsotypic,
     family_context,
@@ -682,6 +684,19 @@ def content_gap_case(source, beta, i):
 
 
 # ---------------------------------------------------------------------------
+# the families, shared across tests
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def family(m: int, k: int, n: int = 1) -> FamilyContext:
+    """``family_context(m, k, n)``, built once per test process for the
+    tests that only read it; keyed by the arguments as spelled, so tests
+    pass n positionally."""
+    return family_context(m, k, n)
+
+
+# ---------------------------------------------------------------------------
 # the module map, sampled: the reference for the proof in
 # ``singular.mu_commutation_check``; and the paper's reverse module map, which
 # no command reports, so it stays a test of the paper's claim
@@ -690,7 +705,7 @@ def content_gap_case(source, beta, i):
 
 def mu_map(g: VectorPoly, m: int, k: int) -> VectorPoly:
     """Linear map sending f (x) S to f * gamma_S * J_S at kappa = 1/(m+2)."""
-    fam = family_context(m, k)
+    fam = family(m, k)
     if g.shape != fam.sigma:
         raise BadShapeParams(f"input must live on shape {fam.sigma}")
     out = VectorPoly.zero((m,) * (2 * k))
@@ -724,7 +739,7 @@ def mu_commutation_sampled(m, k, degree, trials, seed) -> int:
     and Dunkl operator on ``trials`` seeded random sources of degree at most
     ``degree``; raises ClosureViolation at the first failure, and returns
     the number of checks."""
-    fam = family_context(m, k)
+    fam = family(m, k)
     rng = random.Random(seed)
     n = 2 * m * k
     checks = 0
@@ -765,7 +780,7 @@ def reverse_map_qT(m: int, k: int) -> ReverseMapReport:
 
     There is one component per T, so #RSYT(tau) in all: 1 for (m, k) = (1, 2)
     and 14 for (2, 2)."""
-    fam = family_context(m, k)
+    fam = family(m, k)
     tau_tabs = enumerate_rsyt((m,) * (2 * k))
     kappa_neg = Fraction(-1, m + 2)
     components = []

@@ -27,7 +27,6 @@ from nsjack.singular import (
     brick_map,
     closure_check,
     example_n5,
-    family_context,
     mu_commutation_check,
     norms_and_gamma,
     singular_family,
@@ -40,6 +39,7 @@ from oracles import (
     catalan,
     compositions_of_degree,
     eigensolve_jack,
+    family,
     layer_composition,
     monomial,
     mu_commutation_sampled,
@@ -109,7 +109,7 @@ def test_criterion_03_brick_map_goldens():
 
 def test_criterion_04_singular_family_m1_k2():
     with Stopwatch(4, "family of 2 singular members at kappa = 1/3", 10.0):
-        cert = singular_family(1, 2)
+        cert = singular_family(family(1, 2))
         assert cert.kappa0 == Fraction(1, 3)
         assert len(cert.members) == 2
         for record in cert.members:
@@ -124,7 +124,8 @@ def test_criterion_05_singular_family_m2_k2():
     with Stopwatch(
         5, "family of 14 singular members at kappa = 1/4, with hinge case", 1800.0
     ):
-        cert = singular_family(2, 2)
+        fam = family(2, 2)
+        cert = singular_family(fam)
         assert cert.kappa0 == Fraction(1, 4)
         assert len(cert.members) == 14
         for record in cert.members:
@@ -133,7 +134,6 @@ def test_criterion_05_singular_family_m2_k2():
 
         # the printed hinge instance: swapping at index 5 fixes the member
         # once the swapped label is certified pole-free
-        fam = family_context(2, 2)
         member = next(
             mem
             for mem in fam.members
@@ -150,7 +150,7 @@ def test_criterion_05_singular_family_m2_k2():
         assert group_action(s5, member.specialized) == member.specialized
 
         # closure of the family span under every simple reflection
-        report = closure_check(2, 2)
+        report = closure_check(fam)
         assert report.case_counts["hinge"] >= 1
 
         # generic-parameter eigen equations for every member and index
@@ -160,7 +160,7 @@ def test_criterion_05_singular_family_m2_k2():
 
 def test_criterion_06_scaled_family():
     with Stopwatch(6, "doubled family is singular at kappa = 2/3", 30.0):
-        cert = singular_family(1, 2, n=2)
+        cert = singular_family(family(1, 2, 2))
         assert cert.kappa0 == Fraction(2, 3)
         assert len(cert.members) == 2
         for record in cert.members:
@@ -228,7 +228,7 @@ def test_criterion_09_norms_product_vs_recursion():
 
 def test_criterion_10_mu_commutation():
     with Stopwatch(10, "module map commutes with x_i, s_i, D_i", 300.0):
-        report = mu_commutation_check(1, 2)
+        report = mu_commutation_check(family(1, 2))
         assert (report.dunkl_images, report.transports) == (2 * 4, 2 * 3)
         # the sampled reference agrees with the proof
         checks = mu_commutation_sampled(1, 2, degree=2, trials=20, seed=0)

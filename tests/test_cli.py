@@ -6,7 +6,7 @@ import pytest
 
 from nsjack.cli import main
 
-from oracles import dunkl_fractions, exponent_code, monomial
+from oracles import dunkl_fractions, exponent_code, family, monomial
 
 
 def run(capsys, *argv):
@@ -76,6 +76,29 @@ def test_mu_verify_cli(capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["singular verify", "closure", "mu verify"])
+def test_a_family_command_builds_its_family_once(command, monkeypatch, capsys):
+    # the spy replaces the name in every nsjack module that binds it, as the
+    # benchmark's tracer does; mu verify passes its one family to both
+    # certificates
+    import sys
+
+    from nsjack import singular
+
+    real, calls = singular.family_context, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        bound = vars(module).get("family_context")
+        if name.partition(".")[0] == "nsjack" and bound is real:
+            monkeypatch.setattr(module, "family_context", spy)
+    code, _ = run(capsys, *command.split(), "--m", "1", "--k", "2")
+    assert code == 0 and len(calls) == 1
+
+
 def test_no_command_takes_a_seed():
     # mu verify proves the module map rather than sampling it, so it has no
     # seed, degree or trial count, and no other command takes a seed
@@ -105,11 +128,11 @@ def test_no_command_takes_a_seed():
 )
 def test_mu_verify_rejects_a_forged_family(forge, match, monkeypatch, capsys):
     # the first member of the (2, 2) family, forged
-    import nsjack.singular as singular_module
+    import nsjack.cli as cli_module
 
-    fam = singular_module.family_context(2, 2)
+    fam = family(2, 2)
     forged = fam._replace(members=(forge(fam.members[0]),) + fam.members[1:])
-    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
+    monkeypatch.setattr(cli_module, "family_context", lambda *args: forged)
     code, out = run(capsys, "mu", "verify", "--m", "2", "--k", "2")
     assert code == 1
     assert out.startswith("FAILED: ") and match in out
@@ -127,17 +150,17 @@ def test_mu_verify_rejects_a_forged_family(forge, match, monkeypatch, capsys):
 def test_a_member_off_in_one_coefficient_exits_1(command, match, monkeypatch, capsys):
     # one coefficient of the first (1, 2) member plus one: no scaling of a
     # member or of its gamma forges this
-    import nsjack.singular as singular_module
+    import nsjack.cli as cli_module
     from nsjack.vectorpoly import VectorPoly
 
-    fam = singular_module.family_context(1, 2)
+    fam = family(1, 2)
     first = fam.members[0]
     terms = dict(first.specialized.terms)
     key = next(iter(terms))
     terms[key] += 1
     first = first._replace(specialized=VectorPoly(first.specialized.shape, terms))
     forged = fam._replace(members=(first,) + fam.members[1:])
-    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
+    monkeypatch.setattr(cli_module, "family_context", lambda *args: forged)
     code, out = run(capsys, *command.split(), "--m", "1", "--k", "2")
     assert code == 1
     assert out.startswith("FAILED: ") and match in out
@@ -208,10 +231,9 @@ def test_apply_operator_over_q_kappa_on_a_family_member(tmp_path, capsys):
     # without --kappa the operators act over Q(kappa): cherednik-prime gives
     # the Jack polynomial times zeta'(i), dunkl the generic oracle's image
     from nsjack.ratfunc import KAPPA
-    from nsjack.singular import family_context
     from nsjack.vectorpoly import VectorPoly
 
-    jack = family_context(1, 2).members[0].jack
+    jack = family(1, 2).members[0].jack
     path = tmp_path / "jack.json"
     doc = {"shape": list(jack.shape), "poly": jack.poly.to_json()}
     path.write_text(json.dumps(doc))
@@ -812,13 +834,8 @@ def test_singular_verify_with_a_raising_constructor_guard_exits_1(
     forge, monkeypatch, capsys
 ):
     import nsjack.jack as jack_module
-    import nsjack.singular as singular_module
 
     match = forge(monkeypatch, jack_module)
-    # construct afresh rather than serve the cached family
-    monkeypatch.setattr(
-        singular_module, "_family_context", singular_module._family_context.__wrapped__
-    )
     code = main(["--format", "json", "singular", "verify", "--m", "1", "--k", "2"])
     assert_failure_document(code, capsys, match)
 
@@ -965,6 +982,62 @@ def test_kappa_with_zero_denominator_exits_2(command, tmp_path, capsys):
         argv += ["--input", str(_poly_file(tmp_path))]
     line = assert_usage_error(main([*argv, "--kappa", "1/0"]), capsys)
     assert line == "nsjack: error: bad kappa '1/0': zero denominator"
+
+
+@pytest.mark.parametrize("kappa", ["1/2/3", "abc", "1/"])
+@pytest.mark.parametrize("command", ["jack construct", "apply-operator"])
+def test_kappa_of_no_rational_form_exits_2(command, kappa, tmp_path, capsys):
+    if command == "jack construct":
+        argv = ["jack", "construct", "--alpha", "1,1,0,0"]
+        argv += ["--tableau-contents=-3,-2,-1,0"]
+    else:
+        argv = ["apply-operator", "--op", "dunkl", "--index", "1"]
+        argv += ["--input", str(_poly_file(tmp_path))]
+    line = assert_usage_error(main([*argv, "--kappa", kappa]), capsys)
+    assert line == f"nsjack: error: bad kappa {kappa!r}: expected an integer or p/q"
+
+
+@pytest.mark.parametrize("op", ["dunkl", "cherednik", "cherednik-prime", "jucys-murphy"])
+def test_apply_operator_on_the_zero_polynomial_builds_no_context(op, tmp_path):
+    # the seminormal context of (12, 12) has 208,012 tableaux; the zero
+    # polynomial has the zero image without it, in a child process under a
+    # timeout
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"shape": [12, 12], "poly": []}))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    argv = ["-m", "nsjack.cli", "--format", "json", "apply-operator", "--op", op]
+    proc = subprocess.run(
+        [sys.executable, *argv, "--index", "1", "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == []
+
+
+@pytest.mark.parametrize(
+    "index, kappa, message",
+    [
+        ("1", "0", "U'_i has 1/kappa, so kappa = 0 is not a valid value"),
+        ("25", "1/3", "index 25 outside 1..24"),
+    ],
+    ids=["kappa_0", "index_25"],
+)
+def test_apply_operator_on_the_zero_polynomial_checks_its_parameters(
+    index, kappa, message, tmp_path, capsys
+):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"shape": [12, 12], "poly": []}))
+    argv = ["apply-operator", "--op", "cherednik-prime", "--index", index]
+    line = assert_usage_error(main([*argv, "--input", str(path), "--kappa", kappa]), capsys)
+    assert line == f"nsjack: error: {message}"
 
 
 def test_apply_operator_top_index_is_in_range(tmp_path, capsys):

@@ -28,7 +28,7 @@ from nsjack.jack import (
 )
 from nsjack.operators import cherednik_prime, dunkl
 from nsjack.ratfunc import KAPPA, PoleAtKappa, RatFunc, clear_denominators
-from nsjack.singular import brick_map, family_context
+from nsjack.singular import brick_map
 from nsjack.vectorpoly import VectorPoly, leading_vector, tau_context
 
 from oracles import (
@@ -39,6 +39,7 @@ from oracles import (
     compare_order,
     eigensolve_jack,
     exponent_code,
+    family,
     layer_composition,
     monomial,
     verify_eigen_equations_ratfunc,
@@ -258,7 +259,7 @@ def test_reflection_eigen_cases_and_tableau_swap():
 def test_reflection_rule_agrees_with_the_oracle_on_families(m, k):
     # the oracle's (s_i - b) J / scalar is the constructed Jack polynomial of
     # the rule's target, and s_i J / scalar is J in the eigenvector cases
-    fam = family_context(m, k)
+    fam = family(m, k)
     columns = ColumnTable((m,) * (2 * k), sum(fam.members[0].label))
     for member in fam.members:
         for i in range(1, 2 * m * k):
@@ -384,7 +385,7 @@ def test_labels_with_one_part_equal_to_the_degree_match_eigensolve():
 def test_gcd_free_decode_gives_the_full_gcd_form():
     # the decode reduces by trial division only; canonicalising each
     # coefficient again by Euclid's algorithm must change nothing
-    jacks = [member.jack for member in family_context(1, 3).members]
+    jacks = [member.jack for member in family(1, 3).members]
     pair = brick_map(enumerate_rsyt((4, 4))[0], 2)
     jacks.append(construct_jack(pair.beta, pair.tableau))
     assert jacks[-1].shape == (2, 2, 2, 2)
@@ -439,7 +440,7 @@ def forge(jack, poly):
 
 @pytest.mark.parametrize("m, k", [(1, 2), (1, 3)])
 def test_eigen_check_agrees_with_oracle_on_families(m, k):
-    for member in family_context(m, k).members:
+    for member in family(m, k).members:
         assert eigen_verdicts(member.jack) == (True, True)
 
 
@@ -467,7 +468,7 @@ def test_eigen_check_agrees_with_oracle_on_every_reflection_case():
 
 
 def test_eigen_check_rejects_one_perturbed_coefficient():
-    jack = family_context(1, 3).members[0].jack
+    jack = family(1, 3).members[0].jack
     terms = dict(jack.poly.terms)
     key = max(terms, key=lambda k: len(terms[k].den))
     terms[key] = terms[key] + RatFunc((1,), (3, 1))
@@ -499,7 +500,7 @@ def test_eigen_check_width_follows_the_data(monkeypatch):
     # a coefficient c (kappa - K0) vanishes at the point chosen for the honest
     # member, so a check pinned there would accept; the forged data widen it
     lifts = spy_kronecker_pack(monkeypatch)
-    jack = family_context(1, 2).members[0].jack
+    jack = family(1, 2).members[0].jack
     verify_eigen_equations(jack)
     ((point, packed, _),) = lifts
     constant = (0,) * len(jack.alpha)  # outside the homogeneous support
@@ -555,7 +556,7 @@ def test_eigen_check_rejects_a_scaled_coefficient_of_every_member(m, k, per_memb
     # names the first failing index, which the Q(kappa) oracle confirms on
     # the (1, k) families
     rng = random.Random(31)
-    for member in family_context(m, k).members:
+    for member in family(m, k).members:
         jack = member.jack
         keys = sorted(jack.poly.terms)
         if per_member is not None:
@@ -637,7 +638,7 @@ def test_eigen_check_width_holds_every_digit(monkeypatch, m, k):
     from nsjack.vectorpoly import pack, signed_digits
 
     lifts = spy_kronecker_pack(monkeypatch)
-    jack = family_context(m, k).members[0].jack
+    jack = family(m, k).members[0].jack
     forged = scaled(jack, next(key for key in jack.poly.terms if key[0] == jack.alpha))
     with pytest.raises(AssertionError):
         verify_eigen_equations(forged)

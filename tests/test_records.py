@@ -8,7 +8,6 @@ machinery itself (``_replace``, ``_asdict``, copying)."""
 
 import json
 import sys
-from functools import lru_cache
 
 import pytest
 
@@ -74,9 +73,6 @@ def install_guards(monkeypatch, uses: list) -> None:
         for name in ORDERINGS + TUPLE_USES:
             monkeypatch.setattr(cls, name, tuple_use(cls, name), raising=False)
         monkeypatch.setattr(cls, "__hash__", tuple.__hash__, raising=False)
-    # an empty family cache, so the runs construct the families under guard
-    fresh = lru_cache(maxsize=None)(singular._family_context.__wrapped__)
-    monkeypatch.setattr(singular, "_family_context", fresh)
 
 
 def test_the_records_are_the_named_tuples():
@@ -143,7 +139,8 @@ def test_no_cli_command_uses_a_record_as_a_tuple(monkeypatch, tmp_path, capsys):
 def test_no_family_check_uses_a_record_as_a_tuple(monkeypatch, m, k):
     uses = []
     install_guards(monkeypatch, uses)
-    certificate = singular.singular_family(m, k)
-    for member in singular.family_context(m, k).members[:2]:
+    fam = singular.family_context(m, k)
+    certificate = singular.singular_family(fam)
+    for member in fam.members[:2]:
         jack.verify_eigen_equations(member.jack)
     assert certificate.members and uses == []

@@ -40,6 +40,7 @@ from nsjack.vectorpoly import VectorPoly
 from oracles import (
     brick_stack_target,
     content_gap_case,
+    family,
     hook_length_count,
     layer_composition,
     monomial,
@@ -104,7 +105,7 @@ def test_brick_map_fundamental_equation_exhaustive():
 
 
 def test_singular_family_m1_k2():
-    cert = singular_family(1, 2)
+    cert = singular_family(family(1, 2))
     assert len(cert.members) == 2
     assert cert.kappa0 == Fraction(1, 3)
     for record in cert.members:
@@ -113,13 +114,13 @@ def test_singular_family_m1_k2():
 
 
 def test_singular_family_m1_k3():
-    cert = singular_family(1, 3)
+    cert = singular_family(family(1, 3))
     assert len(cert.members) == 5
     assert cert.kappa0 == Fraction(1, 3)
 
 
 def test_scaled_family_m1_k2_n2():
-    cert = singular_family(1, 2, n=2)
+    cert = singular_family(family(1, 2, 2))
     assert cert.kappa0 == Fraction(2, 3)
     assert len(cert.members) == 2
     # labels are the doubled layer compositions
@@ -148,7 +149,7 @@ def test_isotype_of_constant():
 
 
 def test_isotype_of_family_members():
-    fam = family_context(1, 2)
+    fam = family(1, 2)
     for member in fam.members:
         assert isotype_of(member.specialized) == member.pair.source
 
@@ -286,7 +287,7 @@ def test_norm_conventions():
 
 def test_gamma_example_by_hand():
     # two-column case: the non-maximal source has a single mixed pair
-    fam = family_context(1, 2)
+    fam = family(1, 2)
     other = next(
         member
         for member in fam.members
@@ -300,7 +301,7 @@ def test_gamma_example_by_hand():
 
 
 def test_mu_definition_on_point_mass():
-    fam = family_context(1, 2)
+    fam = family(1, 2)
     s0_idx = next(
         i for i, member in enumerate(fam.members)
         if member.pair.source == max_inv_source(1, 2)
@@ -317,7 +318,7 @@ def test_mu_commutation_seeded():
     cases = [(1, 2, range(4), 5, 2), (1, 3, range(4), 3, 5), (2, 2, (3,), 2, 14)]
     for m, k, degrees, trials, members in cases:
         n = 2 * m * k
-        report = mu_commutation_check(m, k)
+        report = mu_commutation_check(family(m, k))
         assert (report.dunkl_images, report.transports) == (
             members * n,
             members * (n - 1),
@@ -359,12 +360,12 @@ def test_reverse_map_m2_k2():
 
 
 def test_closure_m1_k2():
-    report = closure_check(1, 2)
+    report = closure_check(family(1, 2))
     assert report.case_counts["hinge"] >= 1
     assert sum(report.case_counts.values()) == 2 * 3  # two sources, three indices
     # every hinge label certified pole-free by separation specializes
     for m, k, hinges in [(1, 2, 2), (1, 3, 10), (2, 2, 14)]:
-        report = closure_check(m, k)
+        report = closure_check(family(m, k))
         assert len(report.hinge_labels) == hinges
         for label, tab in report.hinge_labels:
             specialize(construct_jack(label, tab), report.kappa0)
@@ -412,34 +413,32 @@ def test_example_n5():
     assert report.eigenvalues == (4, 3, 2, 1, 0)
 
 
-def test_family_context_cache_ignores_default_spelling():
-    assert family_context(1, 2) is family_context(1, 2, 1)
-    assert family_context(1, 2, n=1) is family_context(1, 2)
-
-
 # ---------------------------------------------------------------------------
 # the certificate's checks raise (and so survive python -O) on forged input
 # ---------------------------------------------------------------------------
 
 
-def test_perturbed_member_fails_the_dunkl_check(monkeypatch):
-    import nsjack.singular as singular_module
+def forged_family(field, value, member=1):
+    """The (1, 2) family with one member's field replaced."""
+    fam = family(1, 2)
+    members = list(fam.members)
+    members[member] = members[member]._replace(**{field: value})
+    return fam._replace(members=tuple(members))
 
-    fam = family_context(1, 2)
-    member = fam.members[0]
+
+def test_perturbed_member_fails_the_dunkl_check():
+    member = family(1, 2).members[0]
     # bump one coefficient of a non-constant monomial
     key = next(k for k in member.specialized.terms if any(k[0]))
     terms = dict(member.specialized.terms)
     terms[key] += 1
-    forged = member._replace(specialized=VectorPoly(member.specialized.shape, terms))
-    forged_fam = fam._replace(members=(forged,) + fam.members[1:])
-    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged_fam)
+    forged = VectorPoly(member.specialized.shape, terms)
     with pytest.raises(NonzeroDunklImage):
-        singular_family(1, 2)
+        singular_family(forged_family("specialized", forged, member=0))
 
 
 def test_two_isotype_sum_is_not_isotypic():
-    fam = family_context(1, 2)
+    fam = family(1, 2)
     first, second = fam.members
     assert first.pair.source != second.pair.source
     with pytest.raises(NotIsotypic):
@@ -457,7 +456,7 @@ def test_spectral_identity_guard(monkeypatch):
         lambda *args: tuple(z + 1 for z in real(*args)),
     )
     with pytest.raises(NotIsotypic, match="spectral vector"):
-        singular_family(1, 2)
+        singular_family(family(1, 2))
 
 
 def test_brick_content_identity_guard(monkeypatch):
@@ -479,17 +478,6 @@ def test_gamma_guard_on_a_degenerate_pair():
     pair = BrickPair((0, 1, 1, 1), source, source)
     with pytest.raises(BrickIdentityViolation, match="degenerate gamma"):
         gamma_factor(pair)
-
-
-def forge_family(monkeypatch, field, value, member=1):
-    """Serve family_context(1, 2) with one member's field replaced."""
-    import nsjack.singular as singular_module
-
-    fam = family_context(1, 2)
-    members = list(fam.members)
-    members[member] = members[member]._replace(**{field: value})
-    forged = fam._replace(members=tuple(members))
-    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
 
 
 def forge_factor(monkeypatch, field, value, member=1):
@@ -579,19 +567,17 @@ FORGED_LABELS = {
     FORGERIES,
     ids=[f"{member}-{''.join(map(str, label))}" for member, label in FORGERIES],
 )
-def test_closure_rejects_a_forged_label(monkeypatch, member, label):
-    forge_family(monkeypatch, "label", label, member=member)
+def test_closure_rejects_a_forged_label(member, label):
     match = re.escape(FORGED_LABELS[member, label])
     with pytest.raises(ClosureViolation, match=match):
-        closure_check(1, 2)
+        closure_check(forged_family("label", label, member=member))
 
 
-def test_closure_rejects_a_member_outside_the_first_brick(monkeypatch):
-    honest = family_context(1, 2).members[1]
+def test_closure_rejects_a_member_outside_the_first_brick():
+    honest = family(1, 2).members[1]
     pair = honest.pair._replace(beta=(1, 0, 0, 1))
-    forge_family(monkeypatch, "pair", pair)
     with pytest.raises(ClosureViolation, match="first brick"):
-        closure_check(1, 2)
+        closure_check(forged_family("pair", pair))
 
 
 def test_closure_rejects_a_hinge_label_without_separation(monkeypatch):
@@ -607,43 +593,38 @@ def test_closure_rejects_a_hinge_label_without_separation(monkeypatch):
 
     monkeypatch.setattr(singular_module, "uniqueness_oracle", one_collision)
     with pytest.raises(ClosureViolation, match="not separated"):
-        closure_check(1, 2)
+        closure_check(family(1, 2))
 
 
-def test_closure_rejects_a_forged_gamma(monkeypatch):
-    honest = family_context(1, 2).members[1]
-    forge_family(monkeypatch, "gamma", 2 * honest.gamma)
+def test_closure_rejects_a_forged_gamma():
+    honest = family(1, 2).members[1]
     with pytest.raises(ClosureViolation, match="matrix transport"):
-        closure_check(1, 2)
+        closure_check(forged_family("gamma", 2 * honest.gamma))
 
 
-def test_closure_rejects_a_member_without_leading_coefficient_1(monkeypatch):
+def test_closure_rejects_a_member_without_leading_coefficient_1():
     # doubling one member and halving its gamma keeps every transport
     # identity; only the generic case's scalar identity sees it
-    import nsjack.singular as singular_module
-
-    fam = family_context(1, 2)
+    fam = family(1, 2)
     members = list(fam.members)
     members[1] = members[1]._replace(
         specialized=members[1].specialized.scale(Fraction(2)),
         gamma=members[1].gamma / 2,
     )
-    forged = fam._replace(members=tuple(members))
-    monkeypatch.setattr(singular_module, "family_context", lambda *args: forged)
     with pytest.raises(ClosureViolation, match="generic case fails"):
-        closure_check(1, 2)
+        closure_check(fam._replace(members=tuple(members)))
 
 
 def test_closure_builds_no_jack_polynomial(monkeypatch):
     # the family is built beforehand; closure itself reads only the family
     import nsjack.singular as singular_module
 
-    family_context(1, 3)
+    fam = family(1, 3)
 
     def refuse(*args):
         raise AssertionError("closure built or specialized a Jack polynomial")
 
     monkeypatch.setattr(singular_module, "construct_jack", refuse)
     monkeypatch.setattr(singular_module, "specialize", refuse)
-    report = closure_check(1, 3)
+    report = closure_check(fam)
     assert len(report.hinge_labels) == 10
